@@ -196,6 +196,16 @@ def _loop_weights(program: Program) -> Dict[int, int]:
     return weights
 
 
+def _word_op_weights(program: Program) -> Tuple[int, Dict[int, int]]:
+    """``(top-level weight, loop id -> body weight)`` of ``program``,
+    memoised on the program: the tree is walked once, not per scan."""
+    if program.word_op_weights is None:
+        program.word_op_weights = (
+            _direct_instr_weight(program.statements),
+            _loop_weights(program))
+    return program.word_op_weights
+
+
 def estimate_metrics(program: Program, geometry: CTAGeometry, length: int,
                      stats: runtime.KernelStats) -> KernelMetrics:
     """Compute-side metrics of one compiled-kernel execution."""
@@ -203,8 +213,7 @@ def estimate_metrics(program: Program, geometry: CTAGeometry, length: int,
     words = geometry.words(length)
     stream_bytes = -(-length // 8)
 
-    weight = _direct_instr_weight(program.statements)
-    loop_weights = _loop_weights(program)
+    weight, loop_weights = _word_op_weights(program)
     for loop_id, iterations in stats.loop_log:
         weight += loop_weights.get(loop_id, 0) * iterations
         metrics.loop_iterations += iterations

@@ -158,25 +158,26 @@ class NPBitVector:
     def popcount(self) -> int:
         return popcount_words(self.words)
 
-    def positions(self) -> List[int]:
-        """Sorted set-bit positions, computed directly on the words
+    def _set_bits(self) -> np.ndarray:
+        """Sorted set-bit indices.  Only the nonzero words are unpacked,
+        so sparse match streams cost O(W + set words), not 64·W bits
         (the tail-mask invariant guarantees no bit beyond ``length``)."""
-        if not len(self.words):
-            return []
-        bits = np.unpackbits(np.ascontiguousarray(self.words).view(np.uint8),
-                             bitorder="little")
-        return np.flatnonzero(bits).tolist()
+        nonzero = np.flatnonzero(self.words)
+        bits = np.unpackbits(self.words[nonzero].view(np.uint8),
+                             bitorder="little").reshape(-1, WORD_BITS)
+        rows, cols = np.nonzero(bits)
+        return nonzero[rows] * WORD_BITS + cols
+
+    def positions(self) -> List[int]:
+        """Sorted set-bit positions, computed directly on the words."""
+        return self._set_bits().tolist()
 
     def match_ends(self) -> List[int]:
         """Set cursors as match *end* positions: each set-bit index
         minus one, dropping the empty-match cursor at position 0.
-        One vectorized subtract on the flatnonzero result replaces the
+        One vectorized subtract on the set-bit indices replaces the
         ``[p - 1 for p in positions() if p > 0]`` Python hot loop."""
-        if not len(self.words):
-            return []
-        bits = np.unpackbits(np.ascontiguousarray(self.words).view(np.uint8),
-                             bitorder="little")
-        ends = np.flatnonzero(bits)
+        ends = self._set_bits()
         if ends.size and ends[0] == 0:
             ends = ends[1:]
         return (ends - 1).tolist()

@@ -76,7 +76,9 @@ class BitGenResult(MatchResult):
 
     #: aggregate over all CTAs
     metrics: KernelMetrics = field(default_factory=KernelMetrics)
-    #: per-CTA metrics, aligned with the engine's groups
+    #: per-CTA metrics, aligned with the engine's groups (on the
+    #: compiled backend, groups the prefilter skipped share one empty
+    #: read-only slot)
     cta_metrics: List[KernelMetrics] = field(default_factory=list)
     input_bytes: int = 0
     #: gate accounting when this match ran prefiltered
@@ -404,8 +406,9 @@ class BitGenEngine(Engine):
         basis fully determines the kernels' inputs.
 
         ``active`` (a set of group indices) restricts execution to the
-        prefilter-activated groups; skipped groups contribute empty
-        metrics slots and (provably all-zero) empty match lists."""
+        prefilter-activated groups; skipped groups share one empty
+        metrics slot and keep their (provably all-zero) empty match
+        lists.  The work after dispatch is O(active groups)."""
         import numpy as np
 
         from ..backend import dispatch_words, estimate_metrics
@@ -416,28 +419,25 @@ class BitGenEngine(Engine):
             length = input_bytes + 1
             result = BitGenResult(pattern_count=self.pattern_count,
                                   input_bytes=input_bytes)
+            result.cta_metrics = [KernelMetrics()] * len(self.groups)
             programs = self._compiled_programs()
-            indices = list(range(len(self.groups))) if active is None \
+            indices = range(len(self.groups)) if active is None \
                 else sorted(active)
-            dispatched = dict(zip(indices, dispatch_words(
-                [programs[i] for i in indices], basis, length)))
-            for index, compiled in enumerate(self.groups):
-                if index not in dispatched:
-                    result.cta_metrics.append(KernelMetrics())
-                    continue
-                raw, stats = dispatched[index]
+            matches = 0
+            for index, (raw, stats) in zip(indices, dispatch_words(
+                    [programs[i] for i in indices], basis, length)):
+                compiled = self.groups[index]
                 metrics = estimate_metrics(compiled.program,
                                            self.geometry, length, stats)
-                result.cta_metrics.append(metrics)
+                result.cta_metrics[index] = metrics
                 result.metrics.merge(metrics)
                 for out in compiled.program.outputs:
-                    stream = NPBitVector(np.asarray(raw[out],
-                                                    dtype=np.uint64),
-                                         length)
-                    result.ends[compiled.group.indices[int(out[1:])]] \
-                        = stream.match_ends()
+                    ends = NPBitVector(np.asarray(raw[out], dtype=np.uint64),
+                                       length).match_ends()
+                    result.ends[compiled.group.indices[int(out[1:])]] = ends
+                    matches += len(ends)
         _SCAN_BYTES.inc(input_bytes, backend="compiled")
-        _SCAN_MATCHES.inc(result.match_count())
+        _SCAN_MATCHES.inc(matches)
         return result
 
     def _run_group(self, compiled: CompiledGroup,
@@ -580,20 +580,20 @@ class BitGenEngine(Engine):
         results = [BitGenResult(pattern_count=self.pattern_count,
                                 input_bytes=size)
                    for size in sizes]
-        for index, (compiled, cprog) in enumerate(
-                zip(self.groups, self._compiled_programs())):
-            if active is not None and index not in active:
-                for result in results:
-                    result.cta_metrics.append(KernelMetrics())
-                continue
+        for result in results:
+            result.cta_metrics = [KernelMetrics()] * len(self.groups)
+        programs = self._compiled_programs()
+        for index in (range(len(self.groups)) if active is None
+                      else sorted(active)):
+            compiled = self.groups[index]
             for size, result, (raw, stats) in zip(
                     sizes, results,
-                    dispatch_stream_classes(cprog, classes,
+                    dispatch_stream_classes(programs[index], classes,
                                             len(results))):
                 length = size + 1
                 metrics = estimate_metrics(compiled.program,
                                            self.geometry, length, stats)
-                result.cta_metrics.append(metrics)
+                result.cta_metrics[index] = metrics
                 result.metrics.merge(metrics)
                 for out in compiled.program.outputs:
                     vec = NPBitVector(np.asarray(raw[out],

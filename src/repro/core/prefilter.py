@@ -21,30 +21,41 @@ this against the ungated serial path).
 
 Two gate implementations, selected by ``ScanConfig.prefilter_impl``:
 
-* ``"screen"`` (default) — vectorised two-stage screen: a NumPy pass
-  collects the set of adjacent byte pairs present in the input and
-  discards every literal whose leading pair is absent; survivors are
-  confirmed with exact C-speed substring search (``lit in data``).
-  Exact, and fast enough to win at kilobyte inputs.
+* ``"screen"`` (default) — sorted-window prefix screen.  The index
+  stores each literal's first ``min(len, 8)`` bytes as a big-endian
+  ``uint64`` range ``[lo, hi]`` (prefix padded with 0x00 / 0xff).  A
+  scan sorts one big-endian 8-byte key per input offset (the tail
+  zero-padded) and one vectorised ``searchsorted`` tests every range.
+  Exact: an occurrence puts the literal's real prefix bytes into the
+  key at its offset, so no occurring literal is screened out; padding
+  and shared prefixes only add candidates, which exact substring
+  search (``lit in data``) confirms.  The transient is one ``uint64``
+  key per input byte, sorted in place.
 * ``"ac"`` — one pass of the shared Aho–Corasick automaton over the
   input (:mod:`repro.automata.aho_corasick`).  The reference
   implementation: linear in the input regardless of literal count,
   and the oracle the screen is differentially tested against.
+
+Either way the group walk costs O(fired literals + active groups).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..automata.aho_corasick import AhoCorasick
+from ..parallel.config import PREFILTER_IMPLS
 from ..regex import ast
 from ..regex.factors import factor_literals
 from ..regex.nonempty import strip_empty
 from ..regex.simplify import simplify
 
-PREFILTER_IMPLS = ("screen", "ac")
+#: bytes of each literal's prefix the screen compares (one uint64 key)
+WINDOW = 8
 
 _REG = obs.registry()
 _BUCKETS_SKIPPED = _REG.counter(
@@ -95,23 +106,44 @@ def pattern_gate(node: ast.Regex) -> Optional[frozenset]:
     return factor_literals(simplify(prepared))
 
 
+def _window_keys(data: bytes) -> np.ndarray:
+    """One big-endian key per offset of ``data``: the ``WINDOW`` bytes
+    starting there, zero-padded past the end."""
+    body = max(len(data) - WINDOW + 1, 0)
+    keys = np.empty(len(data), dtype=np.uint64)
+    # overlapping unaligned big-endian windows straight off the buffer
+    keys[:body] = np.ndarray((body,), ">u8", data, strides=(1,))
+    tail = data[body:] + bytes(WINDOW - 1)
+    keys[body:] = np.ndarray((len(data) - body,), ">u8", tail, strides=(1,))
+    return keys
+
+
 class PrefilterIndex:
     """Per-engine gate index: one literal set per compiled group plus
-    the shared scan structures (AC automaton, pair screen)."""
+    the shared scan structures (AC automaton, prefix ranges, and the
+    literal -> gated-groups map)."""
 
     def __init__(self, group_gates: List[Optional[frozenset]]):
         self.group_gates = group_gates
-        literals: Set[bytes] = set()
-        for gate in group_gates:
-            if gate:
-                literals |= gate
         #: sorted for deterministic AC slot assignment
-        self.literals: List[bytes] = sorted(literals)
+        self.literals: List[bytes] = sorted(
+            set().union(*(gate for gate in group_gates if gate)))
         self.ac: Optional[AhoCorasick] = (
             AhoCorasick.build(self.literals) if self.literals else None)
-        #: leading byte pair of each literal (every gate literal is
-        #: >= MIN_FACTOR_LENGTH == 2 bytes), for the vectorised screen
-        self._lead_pairs = [(lit[0] << 8) | lit[1] for lit in self.literals]
+        #: each literal's prefix as a big-endian key range [lo, hi]
+        self._lo, self._hi = (np.array(
+            [int.from_bytes(lit[:WINDOW].ljust(WINDOW, pad), "big")
+             for lit in self.literals], dtype=np.uint64)
+            for pad in (b"\0", b"\xff"))
+        slot = {lit: index for index, lit in enumerate(self.literals)}
+        #: literal slot -> indices of the gated groups it activates
+        self._opens: List[List[int]] = [[] for _ in self.literals]
+        self._always_on: List[int] = []
+        for index, gate in enumerate(group_gates):
+            if gate is None:
+                self._always_on.append(index)
+            for lit in gate or ():
+                self._opens[slot[lit]].append(index)
 
     @classmethod
     def build(cls, nodes: Sequence[ast.Regex],
@@ -125,47 +157,39 @@ class PrefilterIndex:
             group_gates: List[Optional[frozenset]] = []
             for group in groups:
                 gates = [member_gates[i] for i in group.indices]
-                if any(g is None for g in gates):
-                    group_gates.append(None)
-                else:
-                    union: Set[bytes] = set()
-                    for gate in gates:
-                        union |= gate
-                    group_gates.append(frozenset(union))
+                group_gates.append(None if None in gates
+                                   else frozenset().union(*gates))
             return cls(group_gates)
 
     @property
     def gated_groups(self) -> int:
-        return sum(1 for gate in self.group_gates if gate is not None)
+        return len(self.group_gates) - len(self._always_on)
 
     # -- gate evaluation ---------------------------------------------------
 
     def fired_literals(self, data: bytes, impl: str = "screen"
                        ) -> Set[bytes]:
         """The subset of index literals occurring in ``data``."""
-        if not self.literals:
+        return {self.literals[slot] for slot in self._fired(data, impl)}
+
+    def _fired(self, data: bytes, impl: str) -> Set[int]:
+        """Slots of the literals occurring in ``data``."""
+        if impl not in PREFILTER_IMPLS:
+            raise ValueError(f"unknown prefilter impl {impl!r}; "
+                             f"expected one of {PREFILTER_IMPLS}")
+        if not self.literals or not data:
             return set()
         if impl == "ac":
             hits, _stats = self.ac.scan(data)
-            return {self.literals[slot] for slot, _end in hits}
-        if impl != "screen":
-            raise ValueError(f"unknown prefilter impl {impl!r}; "
-                             f"expected one of {PREFILTER_IMPLS}")
-        return self._screen(data)
-
-    def _screen(self, data: bytes) -> Set[bytes]:
-        import numpy as np
-
-        if len(data) < 2:
-            return set()
-        arr = np.frombuffer(data, dtype=np.uint8)
-        pairs = ((arr[:-1].astype(np.uint32) << 8)
-                 | arr[1:].astype(np.uint32))
-        present = np.unique(pairs)
-        lead = np.asarray(self._lead_pairs, dtype=np.uint32)
-        survivors = np.nonzero(np.isin(lead, present))[0]
-        # exact confirmation: the pair screen only prunes candidates
-        return {self.literals[slot] for slot in survivors
+            return {slot for slot, _end in hits}
+        keys = _window_keys(data)
+        keys.sort()
+        # the first key >= lo (clamped): a candidate iff within [lo, hi]
+        found = keys[np.minimum(np.searchsorted(keys, self._lo),
+                                len(keys) - 1)]
+        candidates = np.flatnonzero((self._lo <= found) & (found <= self._hi))
+        # exact confirmation: the screen only prunes candidates
+        return {slot for slot in candidates.tolist()
                 if self.literals[slot] in data}
 
     def active_groups(self, data: bytes, impl: str = "screen"
@@ -174,32 +198,7 @@ class PrefilterIndex:
         accounting report.  Always-on groups (gate ``None``) are always
         included; a gated group executes iff any of its literals
         occurred."""
-        with obs.span("prefilter", category="exec", impl=impl,
-                      input_bytes=len(data)) as sp:
-            fired = self.fired_literals(data, impl)
-            active: List[int] = []
-            gated = skipped = 0
-            for index, gate in enumerate(self.group_gates):
-                if gate is None:
-                    active.append(index)
-                    continue
-                gated += 1
-                if gate & fired:
-                    active.append(index)
-                else:
-                    skipped += 1
-            report = PrefilterReport(
-                impl=impl, input_bytes=len(data),
-                groups=len(self.group_gates), gated=gated,
-                active=len(active), skipped=skipped,
-                literals=len(self.literals), fired=len(fired))
-            if sp.is_recording:
-                sp.set(active=len(active), skipped=skipped,
-                       fired=len(fired))
-        _PREFILTER_SCANS.inc(impl=impl)
-        if skipped:
-            _BUCKETS_SKIPPED.inc(skipped)
-        return active, report
+        return self._gate([data], impl, input_bytes=len(data))
 
     def active_groups_many(self, streams: Sequence[bytes],
                            impl: str = "screen"
@@ -209,26 +208,22 @@ class PrefilterIndex:
         keeps batched equal-length dispatch intact; over-activated
         groups still produce all-zero outputs on the streams that
         didn't fire them)."""
-        total = sum(len(stream) for stream in streams)
+        return self._gate(streams, impl, streams=len(streams),
+                          input_bytes=sum(len(s) for s in streams))
+
+    def _gate(self, inputs: Sequence[bytes], impl: str, **attrs
+              ) -> Tuple[List[int], PrefilterReport]:
         with obs.span("prefilter", category="exec", impl=impl,
-                      streams=len(streams), input_bytes=total) as sp:
-            fired: Set[bytes] = set()
-            for stream in streams:
-                fired |= self.fired_literals(stream, impl)
-            active: List[int] = []
-            gated = skipped = 0
-            for index, gate in enumerate(self.group_gates):
-                if gate is None:
-                    active.append(index)
-                    continue
-                gated += 1
-                if gate & fired:
-                    active.append(index)
-                else:
-                    skipped += 1
+                      **attrs) as sp:
+            fired: Set[int] = set()
+            for data in inputs:
+                fired |= self._fired(data, impl)
+            opened = {group for slot in fired for group in self._opens[slot]}
+            active = sorted(opened.union(self._always_on))
+            skipped = self.gated_groups - len(opened)
             report = PrefilterReport(
-                impl=impl, input_bytes=total,
-                groups=len(self.group_gates), gated=gated,
+                impl=impl, input_bytes=attrs["input_bytes"],
+                groups=len(self.group_gates), gated=self.gated_groups,
                 active=len(active), skipped=skipped,
                 literals=len(self.literals), fired=len(fired))
             if sp.is_recording:

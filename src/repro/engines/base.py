@@ -21,8 +21,13 @@ class MatchResult:
     ends: Dict[int, List[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for index in range(self.pattern_count):
-            self.ends.setdefault(index, [])
+        # dense: every pattern owns a (possibly empty) list of its own;
+        # built here once per scan, reports adopt it without refilling
+        if not self.ends:
+            self.ends = {index: [] for index in range(self.pattern_count)}
+        else:
+            for index in range(self.pattern_count):
+                self.ends.setdefault(index, [])
 
     def match_count(self) -> int:
         return sum(len(v) for v in self.ends.values())

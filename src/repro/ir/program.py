@@ -29,6 +29,11 @@ class Program:
     statements: List[Stmt] = field(default_factory=list)
     outputs: Dict[str, str] = field(default_factory=dict)
     inputs: Tuple[str, ...] = BASIS_VARS
+    #: static word-op weights ``(top level, loop id -> body)``, walked
+    #: once on first use by :func:`repro.backend.estimate_metrics`
+    #: (finished programs are never modified; passes build new ones)
+    word_op_weights: Optional[Tuple[int, Dict[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def render(self) -> str:
         lines = [f"# program {self.name}",

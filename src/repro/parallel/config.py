@@ -83,8 +83,12 @@ class ScanConfig:
     #: dispatch-time knob — results are bit-identical either way, so
     #: the same compiled engine serves both settings.
     prefilter: bool = False
-    #: gate implementation: "screen" (vectorised pair screen + exact
-    #: substring confirm) or "ac" (one Aho–Corasick pass, the oracle)
+    #: gate implementation: "screen" (sorted-window prefix screen: one
+    #: big-endian 8-byte key per input offset, sorted in place, a
+    #: vectorised searchsorted over every literal's prefix range, then
+    #: exact substring confirm of the survivors — exact because padding
+    #: and shared prefixes only add candidates; transient cost one
+    #: uint64 per input byte) or "ac" (one Aho–Corasick pass, the oracle)
     prefilter_impl: str = "screen"
 
     # -- device models (perf harness pricing) -----------------------------

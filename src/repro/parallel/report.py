@@ -89,8 +89,9 @@ class ScanReport(Mapping):
                  trace: Optional[List[Dict[str, object]]] = None):
         self.pattern_count = pattern_count
         self.matches = dict(matches) if matches else {}
-        for index in range(pattern_count):
-            self.matches.setdefault(index, [])
+        if len(self.matches) < pattern_count:   # not dense yet
+            for index in range(pattern_count):
+                self.matches.setdefault(index, [])
         #: total stream bytes consumed when this report was produced
         self.stream_offset = stream_offset
         self.input_bytes = input_bytes
@@ -113,9 +114,11 @@ class ScanReport(Mapping):
                     faults: Optional[List[ShardFault]] = None,
                     dispatch: str = "serial") -> "ScanReport":
         """Wrap a :class:`~repro.engines.base.MatchResult` (plain or
-        :class:`~repro.core.engine.BitGenResult`)."""
+        :class:`~repro.core.engine.BitGenResult`).  The result's dense
+        ends dict is already built once per scan, so the report adopts
+        its per-pattern lists instead of copying each one."""
         return cls(pattern_count=result.pattern_count,
-                   matches={k: list(v) for k, v in result.ends.items()},
+                   matches=result.ends,
                    stream_offset=stream_offset,
                    input_bytes=getattr(result, "input_bytes", 0),
                    metrics=getattr(result, "metrics", None),

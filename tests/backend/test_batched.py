@@ -117,3 +117,31 @@ def test_sequential_compiled_metrics_match_simulation():
                     "blocks_processed", "output_bits"):
         assert getattr(compiled.metrics, counter) == \
             getattr(simulate.metrics, counter), counter
+
+
+def test_cached_word_op_weights_match_a_fresh_walk():
+    """The static weights are walked once per program; the per-scan
+    loop counts still move thread_word_ops."""
+    from repro.backend import estimate_metrics
+    from repro.ir.program import Program
+
+    engine = BitGenEngine.compile(["a(bc)*d", "x+y"],
+                                  config=ScanConfig(backend="compiled"))
+    program = engine.groups[0].program
+    compiled = compile_program(
+        program, honour_guards=engine.scheme.zero_skipping)
+    ops = []
+    for data in (b"abcd", b"a" + b"bc" * 50 + b"d"):
+        _, stats = compiled.run_data(data)
+        cached = estimate_metrics(program, engine.geometry,
+                                  len(data) + 1, stats)
+        assert program.word_op_weights is not None
+        fresh = Program(program.name, program.statements, program.outputs,
+                        program.inputs)
+        walked = estimate_metrics(fresh, engine.geometry, len(data) + 1,
+                                  stats)
+        assert cached.thread_word_ops == walked.thread_word_ops
+        assert engine.match(data).cta_metrics[0].thread_word_ops \
+            == walked.thread_word_ops
+        ops.append((cached.loop_iterations, cached.thread_word_ops))
+    assert ops[0][0] != ops[1][0]

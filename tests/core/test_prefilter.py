@@ -6,6 +6,8 @@ implementations and both execution backends.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import BitGenEngine
 from repro.core.prefilter import PrefilterIndex, pattern_gate
@@ -88,6 +90,24 @@ def test_match_many_union_gating(impl):
     assert engine.last_prefilter.input_bytes == sum(map(len, streams))
 
 
+#: literals probing the screen's 8-byte windows: longer than 8 with a
+#: shared 8-byte prefix (and that prefix itself), NUL bytes that the
+#: zero-padded tail could fake, and 500 sharing one lead pair
+EDGE_LITERALS = ([b"tail", b"abcdefgh", b"abcdefgh1", b"abcdefgh2",
+                  b"q\x00", b"\x00\x00z", b"zz\x00\x00"]
+                 + [b"si%04d" % i for i in range(500)])
+EDGE_INPUTS = {
+    b"": set(), b"q": set(), b"qz": set(), b"zz": set(),
+    b"xq": set(),                           # tail key 'q\0..' confirms out
+    b"xxtail": {b"tail"},                   # ends on the last byte
+    b"abcdefgh2": {b"abcdefgh", b"abcdefgh2"},
+    b"abcdefgh": {b"abcdefgh"},
+    b"..abcdefgh1..q\x00": {b"abcdefgh", b"abcdefgh1", b"q\x00"},
+    b"zz\x00": set(), b"\x00\x00z": {b"\x00\x00z"},
+    b"si" * 40 + b"si0499": {b"si0499"},
+}
+
+
 def test_screen_and_ac_agree_on_fired_literals():
     nodes = [parse(p) for p in PATTERNS]
     groups = BitGenEngine.compile(
@@ -96,6 +116,45 @@ def test_screen_and_ac_agree_on_fired_literals():
     for data in (SPARSE, DENSE, b"", b"needleneedle", b"zzxyzab"):
         assert index.fired_literals(data, "screen") \
             == index.fired_literals(data, "ac")
+    edge = PrefilterIndex([frozenset(EDGE_LITERALS)])
+    for data, expected in EDGE_INPUTS.items():
+        assert edge.fired_literals(data, "screen") == expected, data
+        assert edge.fired_literals(data, "ac") == expected, data
+
+
+_SMALL_ALPHABET = st.sampled_from(b"ab\x00")
+
+
+@settings(max_examples=200, deadline=None)
+@given(literals=st.sets(st.lists(_SMALL_ALPHABET, min_size=2, max_size=12)
+                        .map(bytes), min_size=1, max_size=24),
+       data=st.lists(_SMALL_ALPHABET, max_size=300).map(bytes))
+def test_screen_equals_ac_oracle_property(literals, data):
+    index = PrefilterIndex([frozenset(literals)])
+    assert index.fired_literals(data, "screen") \
+        == index.fired_literals(data, "ac")
+
+
+# -- scan glue contract ----------------------------------------------------
+
+
+def test_gated_scan_report_stays_dense_and_unshared():
+    config = ScanConfig(backend="compiled", prefilter=True,
+                        loop_fallback=True)
+    engine = BitGenEngine.compile(PATTERNS, config=config)
+    baseline = BitGenEngine.compile(
+        PATTERNS, config=ScanConfig(backend="compiled", loop_fallback=True))
+    first = engine.scan(SPARSE)
+    assert engine.last_prefilter.skipped > 0
+    assert len(first) == engine.pattern_count
+    assert first == baseline.scan(SPARSE)
+    unmatched = [i for i in range(engine.pattern_count) if not first[i]]
+    assert unmatched and all(first[i] == [] for i in unmatched)
+    for ends in first.values():
+        ends.append(-1)
+    second = engine.scan(SPARSE)
+    assert second == baseline.scan(SPARSE)
+    assert all(second[i] == [] for i in unmatched)
 
 
 def test_pattern_gate_prepared_node_semantics():
