@@ -2,9 +2,15 @@
 
 Not a paper experiment — this measures the reproduction's own substrate
 so the backend choice is a documented decision rather than folklore.
-Python big integers do whole-stream boolean ops in one C call and win
-at block/window sizes (KBs); the word-array backend exists for very
-long streams and as the word-layout reference for real kernels.
+On a 2-CPU host (Python 3.11, NumPy 2.4) the six-op mixed workload
+below takes 5.1 µs on ``BitVector`` and 18 µs on ``NPBitVector`` at
+8 Kbit, where NumPy's per-call overhead dominates, and 437 µs against
+292 µs at 1 Mbit.  The 1 Mbit gap is ``BitVector``'s own: its ANDN
+builds ``~b`` (CPython's two's-complement slow path, 110 µs against
+12 µs on words) and its advance always masks (78 against 39 µs).  The
+compiled kernels run on ints without either cost (``a ^ (a & b)``,
+13 µs; a shift masked only on overflow, about 28 µs), which is why
+they use ints; word arrays stay the layout at the kernel boundary.
 """
 
 import pytest

@@ -1,11 +1,11 @@
-"""Compiled NumPy backend vs the simulating executors on the Table 2
+"""Compiled backend vs the simulating executors on the Table 2
 harness path.
 
 Not a paper experiment — this measures the reproduction's own engine
 room.  The Table 2 cells execute every CTA through the per-window
 interleaved *simulation* (which is what produces the modelled metrics);
-the compiled backend answers the same matches through cached straight-
-line NumPy kernels with batched CTA dispatch.  The paper's claim that
+the compiled backend answers the same matches through cached kernels
+over Python-int bitstreams, one C loop per op.  The paper's claim that
 JIT-specialised fused kernels beat interpretive execution is mirrored
 here: the compiled path must be at least 5x faster wall-clock, and the
 kernel cache must show hits (structurally repeated groups and repeated

@@ -4,7 +4,7 @@
 Shows where one (app, scheme, backend) cell actually spends its time —
 the evidence behind the compiled backend's design (the simulate path
 burns its cycles in per-window instruction dispatch; the compiled path
-in NumPy kernels).
+in its int kernels).
 
 Usage::
 

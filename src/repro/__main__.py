@@ -119,7 +119,11 @@ def build_scan_parser() -> argparse.ArgumentParser:
                              "$REPRO_PARALLEL_START_METHOD, else fork "
                              "where available)")
     parser.add_argument("--shard", choices=SHARD_POLICIES, default="auto")
-    parser.add_argument("--backend", choices=BACKENDS, default="simulate")
+    parser.add_argument("--backend", choices=BACKENDS, default="simulate",
+                        help="simulate (default) also models the GPU "
+                             "schedule behind the paper's metrics; "
+                             "compiled runs int kernels, several times "
+                             "faster, with estimated metrics")
     parser.add_argument("--scheme", choices=[s.name for s in Scheme],
                         default="ZBS")
     parser.add_argument("--on-fault", choices=ON_FAULT_POLICIES,

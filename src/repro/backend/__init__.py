@@ -1,18 +1,18 @@
-"""Compiled NumPy execution backend (the paper's NVRTC JIT analog).
+"""Compiled execution backend (the paper's NVRTC JIT analog).
 
 Instead of interpreting bitstream programs statement-by-statement, this
 package lowers a :class:`~repro.ir.program.Program` to ONE specialised
-Python function of straight-line NumPy statements over ``uint64`` word
-arrays, compiles it once, and caches it under a structural fingerprint
-so repeated harness cells and structurally repeated regex groups pay
-zero recompilation.  Batched dispatch stacks CTAs into 2D word arrays —
-one vectorised call per shared kernel.
+Python function over Python-int bitstreams (one int per stream, one C
+loop per op), compiles it once, and caches it under a structural
+fingerprint so repeated harness cells and structurally repeated regex
+groups pay zero recompilation.  Inputs and outputs cross the kernel
+boundary as ``uint64`` word arrays.
 
 Front doors:
 
 * :func:`compile_program` — program → cached :class:`CompiledProgram`
-* :func:`dispatch_programs` — many CTAs over one input, batched
-* :func:`dispatch_streams` — one CTA over many inputs, batched
+* :func:`dispatch_programs` — many CTAs over one input
+* :func:`dispatch_streams` — one CTA over many inputs
 * :func:`kernel_cache` — the process-wide cache (hit-rate reporting)
 """
 
@@ -24,7 +24,7 @@ from .executor import (compile_group, dispatch_programs,
                        dispatch_words, estimate_metrics,
                        stream_length_classes, transpose_stream_classes)
 from .fingerprint import cache_key, canonicalize, fingerprint
-from .runtime import KernelStats, basis_environment
+from .runtime import KernelInput, KernelStats, basis_environment
 
 __all__ = [
     "CacheStats",
@@ -32,6 +32,7 @@ __all__ = [
     "CompiledKernel",
     "CompiledProgram",
     "KernelCache",
+    "KernelInput",
     "KernelStats",
     "basis_environment",
     "cache_key",

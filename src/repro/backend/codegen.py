@@ -1,37 +1,39 @@
-"""NumPy code generation for bitstream programs.
+"""Code generation for bitstream programs.
 
 Lowers a :class:`~repro.ir.program.Program` into the source of ONE
-specialised Python function of straight-line NumPy statements — the
-reproduction's analog of the paper's NVRTC-compiled fused kernel.
-Per-instruction dispatch disappears entirely: every AND/OR/XOR/ANDN/NOT
-becomes a native array expression, SHIFT becomes a word-level shift
-with cross-word carry (distances baked in), MATCH_CC expands inline to
-the 8 basis-plane constraints, and while-loops / zero guards become
-native Python control flow.
+specialised Python function over Python ints — the reproduction's
+analog of the paper's NVRTC-compiled fused kernel.  Each bitstream is
+one non-negative int with bit *i* at text position *i*, so every op is
+one C loop over the whole stream and per-instruction dispatch
+disappears entirely:
 
-Batch semantics: all expressions operate on the last axis, so a kernel
-compiled once runs over a 1D word array (one CTA) or a stacked 2D batch
-(many CTAs).  Loop bodies and guard skips are masked per row with
-``np.where``, so rows whose condition has converged stay frozen exactly
-as if each row ran its own loop — batching never changes results.
+* AND / OR / XOR are the int operators; NOT is ``x ^ ONES``;
+* ANDN is ``a ^ (a & b)``, which never builds a negative int (``~b``
+  would take CPython's two's-complement slow path);
+* the paper's ``>>`` (advance) is ``x << d``, masked back to ``L`` bits
+  only when the shifted value outgrows them; the paper's ``<<`` is
+  ``x >> d``;
+* MATCH_CC expands to the 8 basis-plane constraints, and while-loops
+  and zero guards become native control flow whose tests (``if x:``)
+  are O(1).
 
 Character classes are *parameters*, not constants: a MATCH_CC for byte
-``c`` compiles against ``P[..., j, k, None]`` planes where ``P[j, k]``
-is all-ones when bit ``k`` of ``c`` is clear (selecting ``~bk``) and
-zero when set (selecting ``bk``).  Programs that differ only in their
-byte constants therefore share one kernel and can be dispatched as one
-batched call.  Each distinct parameter slot's 8-term basis expression
-is hoisted into one prologue temporary ``_cc<j>`` that every consumer
-(and every loop iteration) reuses — identical classes were deduplicated
-into one slot during canonicalisation, so the 8 ANDs and 8 XORs are
-paid once per class per kernel call.
+``c`` ANDs, per bit ``k`` of ``c``, either basis plane ``bk`` or its
+complement, picked by index from the parameter tuple ``P``.  Programs
+that differ only in their byte constants therefore share one kernel.
+Each distinct parameter slot's 8-term expression is hoisted into one
+prologue temporary ``_cc<j>`` that every consumer (and every loop
+iteration) reuses — identical classes were deduplicated into one slot
+during canonicalisation, so the 8 terms are paid once per class per
+kernel call.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from collections import Counter
+from typing import Dict, List, Optional, Set
 
-from ..ir.instructions import Instr, Op, SkipGuard, WhileLoop
+from ..ir.instructions import Op
 from .fingerprint import CanonicalProgram
 
 #: Extra iterations allowed beyond the stream length before a fixpoint
@@ -44,10 +46,16 @@ LOOP_SLACK = 80
 #: guarded span unconditionally is always safe.
 MAX_GUARD_DEPTH = 40
 
+#: One indentation level of the generated source.  Guards nest up to
+#: MAX_GUARD_DEPTH deep, and one column per level keeps the source —
+#: which every resident kernel holds — a third of its 4-column size.
+INDENT = " "
+
 #: Schema version of the generated source; bump on any change to the
 #: emitted code shape so persisted on-disk kernels are invalidated.
 #: 2: CC parameter slots deduplicated + hoisted into prologue temps.
-CODEGEN_VERSION = 2
+#: 3: kernels over Python ints instead of uint64 word arrays.
+CODEGEN_VERSION = 3
 
 _BINOPS = {Op.AND.value: "&", Op.OR.value: "|", Op.XOR.value: "^"}
 
@@ -60,11 +68,11 @@ _CONST_EXPR = {
 }
 
 _CONST_INIT = {
-    "Z": "Z = _rt.zeros(W)",
-    "ONES": "ONES = _rt.ones(L, W)",
-    "START": "START = _rt.start(W)",
-    "END": "END = _rt.end(L, W)",
-    "TEXT": "TEXT = _rt.text(L, W)",
+    "Z": "Z = 0",
+    "ONES": "ONES = S.ones",
+    "START": "START = 1",
+    "END": "END = 1 << (L - 1)",
+    "TEXT": "TEXT = S.text",
 }
 
 
@@ -81,11 +89,29 @@ class _Emitter:
         self.consts_used: Set[str] = set()
         self.cc_slots_used: Set[int] = set()
         self.loop_id = 0
+        self.loop_depth = 0
+        self.guards = 0
         self.loop_preinit: Set[str] = set()
         self._defined: Set[str] = set(canonical.tokens[1])  # inputs
+        body, outputs = canonical.tokens[2], canonical.tokens[3]
+        #: variable -> reads anywhere in the program, outputs included
+        self._reads: Counter = Counter(outputs)
+        for token in body:
+            self._reads.update(_token_reads(token))
+        #: top-level token index -> variables read there for the last
+        #: time; see :func:`_last_reads`
+        self._dead_after = _last_reads(body, set(outputs))
 
     def emit(self, line: str, depth: int) -> None:
-        self.lines.append("    " * (depth + 1) + line)
+        self.lines.append(INDENT * (depth + 1) + line)
+
+    def emit_deletions(self, index: int, depth: int) -> None:
+        """Free what top-level token ``index`` read last: a dead stream
+        otherwise stays allocated until the kernel returns, and on long
+        inputs the growing heap costs more than the ops themselves."""
+        dead = None if self.loop_depth else self._dead_after.get(index)
+        if dead:
+            self.emit("del " + ", ".join(dead), depth)
 
     # -- expression fragments ---------------------------------------------
 
@@ -100,16 +126,17 @@ class _Emitter:
         if op in _BINOPS:
             return f"{args[0]} {_BINOPS[op]} {args[1]}"
         if op == Op.ANDN.value:
-            return f"{args[0]} & ~{args[1]}"
+            return f"{args[0]} ^ ({args[0]} & {args[1]})"
         if op == Op.NOT.value:
-            return f"~{args[0]}"
+            self.consts_used.add("ONES")
+            return f"{args[0]} ^ ONES"
         if op == Op.COPY.value:
             return args[0]
         if op == Op.SHIFT.value:
-            word_shift, bit_shift = divmod(abs(shift), 64)
             if shift > 0:
-                return f"_shu({args[0]}, {word_shift}, {bit_shift}, TM)"
-            return f"_shd({args[0]}, {word_shift}, {bit_shift})"
+                self.consts_used.add("ONES")
+                return f"{args[0]} << {shift}"
+            return f"{args[0]} >> {-shift}"
         raise CompileError(f"unhandled op {op!r}")
 
     def _match_cc_expr(self, cc_token: str) -> str:
@@ -121,127 +148,161 @@ class _Emitter:
         # prologue as _cc<slot>, shared by every consumer.
         slot = int(cc_token[2:])
         self.cc_slots_used.add(slot)
-        self.consts_used.add("TEXT")
         return f"_cc{slot}"
 
     # -- statements --------------------------------------------------------
 
-    def emit_instr(self, token, depth: int, act: Optional[str]) -> None:
+    def emit_instr(self, token, depth: int) -> None:
         dest = token[2]
-        expr = self._instr_expr(token)
-        needs_mask = token[1] == Op.NOT.value
-        if act is None:
-            self.emit(f"{dest} = {expr}", depth)
-            if needs_mask:
-                self.emit(f"{dest}[..., -1] &= TM", depth)
-        else:
-            # Inside a loop: rows whose condition converged are frozen.
-            self.emit(f"_t = {expr}", depth)
-            if needs_mask:
-                self.emit("_t[..., -1] &= TM", depth)
-            self.emit(f"{dest} = _np.where({act}, _t, {dest})", depth)
-        self._note_definition(dest, depth)
+        self.emit(f"{dest} = {self._instr_expr(token)}", depth)
+        if token[1] == Op.SHIFT.value and token[4] > 0:
+            # An advance can push bits past the stream end; comparing
+            # against ONES is O(1), the mask only runs when they did.
+            self.emit(f"if {dest} > ONES: {dest} &= ONES", depth)
+        if dest not in self._defined:
+            self._defined.add(dest)
+            if self.loop_depth:
+                # First definition inside a loop body: pre-initialise
+                # so a loop that runs zero times leaves it zero, not
+                # unbound.
+                self.loop_preinit.add(dest)
+                self.consts_used.add("Z")
 
-    def _note_definition(self, dest: str, depth: int) -> None:
-        if dest in self._defined:
-            return
-        self._defined.add(dest)
-        if depth > 0:
-            # First definition inside control flow: pre-initialise so the
-            # masked assignment has a previous value to keep.
-            self.loop_preinit.add(dest)
-            self.consts_used.add("Z")
-
-    def emit_block(self, tokens, depth: int, act: Optional[str]) -> None:
-        index = 0
-        while index < len(tokens):
+    def emit_block(self, tokens, depth: int, start: int = 0,
+                   stop: Optional[int] = None) -> None:
+        """Emit ``tokens[start:stop]``."""
+        stop = len(tokens) if stop is None else stop
+        index = start
+        while index < stop:
             token = tokens[index]
             kind = token[0]
+            if kind == "guard":
+                index = self.emit_guard(tokens, index, stop, depth)
+                continue
             if kind == "instr":
-                self.emit_instr(token, depth, act)
-                index += 1
+                self.emit_instr(token, depth)
             elif kind == "while":
-                self.emit_while(token, depth, act)
-                index += 1
-            elif kind == "guard":
-                index += self.emit_guard(token, tokens, index, depth, act)
+                self.emit_while(token, depth)
             else:
                 raise CompileError(f"unknown token {kind!r}")
+            self.emit_deletions(index, depth)
+            index += 1
 
-    def emit_while(self, token, depth: int, parent: Optional[str]) -> None:
+    def emit_while(self, token, depth: int) -> None:
         _, cond, body = token
         loop = self.loop_id
         self.loop_id += 1
-        act = f"_a{loop}"
-        parent_arg = parent if parent is not None else "None"
         self.emit(f"_n{loop} = 0", depth)
-        self.emit("while True:", depth)
-        self.emit(f"{act} = _any({cond}, {parent_arg})", depth + 1)
-        self.emit(f"if not {act}.any():", depth + 1)
-        self.emit("break", depth + 2)
+        self.emit(f"while {cond}:", depth)
         self.emit(f"if _n{loop} >= _limit:", depth + 1)
         self.emit(f"raise RuntimeError('while loop {loop} diverged')",
                   depth + 2)
         self.emit(f"_n{loop} += 1", depth + 1)
-        self.emit_block(body, depth + 1, act)
+        self.loop_depth += 1
+        self.emit_block(body, depth + 1)
+        self.loop_depth -= 1
         self.emit(f"_stats.loop_log.append(({loop}, _n{loop}))", depth)
 
-    def emit_guard(self, token, tokens, index: int, depth: int,
-                   act: Optional[str]) -> int:
-        _, cond, skip_count = token
-        span = tokens[index + 1:index + 1 + skip_count]
+    def emit_guard(self, tokens, index: int, stop: int, depth: int) -> int:
+        """Emit the guard at ``tokens[index]``; returns the index after
+        its span (clipped to the enclosing span's ``stop``)."""
+        _, cond, skip_count = tokens[index]
         if not self.canonical.honour_guards or depth >= MAX_GUARD_DEPTH:
             # Guards are pure optimisation hints; executing the range
             # despite a zero condition never changes results.
-            return 1
+            self.emit_deletions(index, depth)
+            return index + 1
+        end = min(index + 1 + skip_count, stop)
+        self.guards += 1
         self.consts_used.add("Z")
-        self.emit("_stats.guard_checks += 1", depth)
-        parent_arg = act if act is not None else "None"
-        self.emit(f"if not _any({cond}, {parent_arg}).any():", depth)
-        self.emit("_stats.guard_hits += 1", depth + 1)
+        self.emit("_checks += 1", depth)
+        self.emit(f"if not {cond}:", depth)
+        self.emit("_hits += 1", depth + 1)
+        self.emit_deletions(index, depth + 1)
         # Skipped definitions are provably zero (guard validation).
-        for skipped in span:
-            if skipped[0] != "instr":
-                continue  # nested guards are skipped with their range
-            dest = skipped[2]
-            if act is None:
-                self.emit(f"{dest} = Z", depth + 1)
-            else:
-                self.emit(f"{dest} = _np.where({act}, Z, {dest})",
-                          depth + 1)
-            self._note_definition(dest, depth)
+        zeroed = self._live_definitions(tokens[index + 1:end])
+        if zeroed:
+            self.emit(" = ".join(zeroed) + " = Z", depth + 1)
         self.emit("else:", depth)
-        self.emit_block(span, depth + 1, act)
-        return skip_count + 1
+        self.emit_deletions(index, depth + 1)
+        self.emit_block(tokens, depth + 1, index + 1, end)
+        return end
+
+    def _live_definitions(self, span) -> List[str]:
+        """Variables ``span`` defines whose skipped value (zero) can be
+        observed: read outside the span, or read inside it at or before
+        its first definition there (a loop's next iteration sees the
+        zero).  The rest are dead when the span is skipped and are not
+        assigned."""
+        reads: Counter = Counter()
+        defined: Dict[str, None] = {}
+        read_first = set()
+        for token in span:
+            for name in _token_reads(token):
+                reads[name] += 1
+                if name not in defined:
+                    read_first.add(name)
+            if token[0] == "instr":
+                defined.setdefault(token[2])
+        return [name for name in defined
+                if name in read_first or self._reads[name] > reads[name]]
+
+
+def _token_reads(token) -> List[str]:
+    """Every variable ``token`` reads: operands, a loop's or guard's
+    condition, and everything a loop body reads."""
+    if token[0] == "instr":
+        return list(token[3])
+    reads = [token[1]]
+    if token[0] == "while":
+        for inner in token[2]:
+            reads += _token_reads(inner)
+    return reads
+
+
+def _last_reads(body, outputs) -> Dict[int, List[str]]:
+    """Top-level token index -> the variables read there for the last
+    time, outputs excepted.  Everything a loop reads counts at the
+    loop's index (its next iteration may read it again), so a stream
+    dies after the last top-level token that reads it.  Deleting there
+    frees it on every path that reaches it: a variable a skipped guard
+    span would have defined is zeroed when read later, and one first
+    defined in a loop is pre-initialised."""
+    last = {name: index for index, token in enumerate(body)
+            for name in _token_reads(token)}
+    dead: Dict[int, List[str]] = {}
+    for name, index in last.items():
+        if name not in outputs:
+            dead.setdefault(index, []).append(name)
+    return dead
 
 
 def generate_source(canonical: CanonicalProgram,
                     name: str = "_kernel") -> str:
     """Full function source for one canonical program."""
     emitter = _Emitter(canonical)
-    emitter.emit_block(canonical.tokens[2], 0, None)
+    emitter.emit_block(canonical.tokens[2], 0)
 
     outputs = canonical.tokens[3]
-    prologue = [
-        f"def {name}(B, P, L, W, TM, _rt, _stats):",
-        "    _np = _rt.np",
-        "    _shu = _rt.shift_up",
-        "    _shd = _rt.shift_down",
-        "    _any = _rt.row_any",
-        f"    _limit = L + {LOOP_SLACK}",
-    ]
+    prologue = ["L = S.length", f"_limit = L + {LOOP_SLACK}",
+                "B = S.planes"]
     for k, basis in enumerate(canonical.tokens[1]):
         if basis != f"b{k}":
             raise CompileError(f"unexpected input layout {basis!r}")
-        prologue.append(f"    b{k} = B[{k}]")
-    for const in sorted(emitter.consts_used):
-        prologue.append("    " + _CONST_INIT[const])
+        prologue.append(f"b{k} = B[{k}]")
+    prologue += [_CONST_INIT[const] for const in sorted(emitter.consts_used)]
     for slot in sorted(emitter.cc_slots_used):
-        terms = " & ".join(f"(b{k} ^ P[..., {slot}, {k}, None])"
-                           for k in range(8))
-        prologue.append(f"    _cc{slot} = TEXT & {terms}")
-    for var in sorted(emitter.loop_preinit):
-        prologue.append(f"    {var} = Z")
-    body = emitter.lines or ["    pass"]
-    epilogue = [f"    return ({', '.join(outputs)}{',' if outputs else ''})"]
-    return "\n".join(prologue + body + epilogue) + "\n"
+        terms = " & ".join(f"B[P[{8 * slot + k}]]" for k in range(8))
+        prologue.append(f"_cc{slot} = {terms}")
+    prologue += [f"{var} = Z" for var in sorted(emitter.loop_preinit)]
+    epilogue = []
+    if emitter.guards:
+        # Guard counters live in locals and reach the stats once.
+        prologue.append("_checks = _hits = 0")
+        epilogue = ["_stats.guard_checks += _checks",
+                    "_stats.guard_hits += _hits"]
+    epilogue.append(f"return ({', '.join(outputs)}{',' if outputs else ''})")
+    return "\n".join([f"def {name}(S, P, _stats):"]
+                     + [INDENT + line for line in prologue]
+                     + (emitter.lines or [INDENT + "pass"])
+                     + [INDENT + line for line in epilogue]) + "\n"

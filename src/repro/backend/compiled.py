@@ -3,14 +3,14 @@
 ``compile_program`` is the backend's front door: it canonicalises a
 program (:mod:`repro.backend.fingerprint`), looks the digest up in the
 process-wide :class:`KernelCache`, and only on a miss generates and
-``compile()``s NumPy source (:mod:`repro.backend.codegen`).  Repeated
+``compile()``s kernel source (:mod:`repro.backend.codegen`).  Repeated
 harness cells, repeated blocks, and structurally repeated regex groups
 all reuse one code object — the simulator analog of the paper's cached
 NVRTC kernels.
 
 A :class:`CompiledProgram` binds a shared :class:`CompiledKernel` to
 one program instance's non-structural data: its character-class
-parameter matrix and its output names.
+parameters and its output names.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .. import obs
-from ..bitstream.npvector import NPBitVector
 from ..ir.program import Program
 from . import runtime
 from .codegen import CompileError, generate_source
 from .fingerprint import CanonicalProgram, canonicalize
-
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _REG = obs.registry()
 _CACHE_LOOKUPS = _REG.counter(
@@ -74,7 +69,7 @@ class CacheStats:
 @dataclass
 class CompiledKernel:
     """One compiled code object, shared by every structurally equal
-    program (and every CTA batch dispatched over them)."""
+    program (and every CTA dispatched over them)."""
 
     fingerprint: str
     source: str
@@ -86,15 +81,10 @@ class CompiledKernel:
     #: on-disk cache persists (marshal round-trips code objects)
     code: Optional[object] = None
 
-    def __call__(self, basis, params, length: int,
-                 stats: Optional[runtime.KernelStats] = None):
-        words = runtime.word_count(length)
-        tmask = runtime.tail_mask(length)
-        if stats is None:
-            stats = runtime.KernelStats()
-        outputs = self.func(basis, params, length, words, tmask,
-                            runtime, stats)
-        return outputs, stats
+    def __call__(self, stream: runtime.KernelInput, params: Tuple[int, ...]):
+        """Run over one input; returns (output ints, stats)."""
+        stats = runtime.KernelStats()
+        return self.func(stream, params, stats), stats
 
 
 class KernelCache:
@@ -198,20 +188,21 @@ def _build_kernel(canonical: CanonicalProgram,
                           code=code)
 
 
-def _cc_params(canonical: CanonicalProgram) -> np.ndarray:
-    """Per-program parameter matrix: ``P[j, k]`` selects basis plane
-    ``bk`` (zero) or its complement (all-ones) for cc slot ``j``."""
-    params = np.zeros((len(canonical.cc_classes), 8), dtype=np.uint64)
-    for j, cc in enumerate(canonical.cc_classes):
+def _cc_params(canonical: CanonicalProgram) -> Tuple[int, ...]:
+    """Per-program parameters: ``P[8 * j + k]`` is the
+    :attr:`~repro.backend.runtime.KernelInput.planes` index cc slot
+    ``j`` ANDs for bit ``k`` — plane ``bk`` where the byte's bit is
+    set, its complement ``8 + k`` where it is clear."""
+    params = []
+    for cc in canonical.cc_classes:
         if not cc.is_single():
             raise CompileError(
                 "MATCH_CC supports only singleton classes; expand "
                 "multi-byte classes with CCCompiler")
         byte = cc.single_byte()
-        for k in range(8):
-            if not (byte >> (7 - k)) & 1:
-                params[j, k] = _FULL
-    return params
+        params.extend(k if (byte >> (7 - k)) & 1 else 8 + k
+                      for k in range(8))
+    return tuple(params)
 
 
 @dataclass
@@ -220,28 +211,26 @@ class CompiledProgram:
 
     program: Program
     kernel: CompiledKernel
-    params: np.ndarray
+    params: Tuple[int, ...]
     output_names: List[str] = field(default_factory=list)
 
-    def run_words(self, basis, length: int):
-        """Execute over word arrays; returns (name → uint64 array,
-        :class:`~repro.backend.runtime.KernelStats`)."""
-        raw, stats = self.kernel(basis, self.params, length)
+    def run(self, stream: runtime.KernelInput):
+        """Execute over one converted input; returns (name → output
+        int, :class:`~repro.backend.runtime.KernelStats`)."""
+        raw, stats = self.kernel(stream, self.params)
         return dict(zip(self.output_names, raw)), stats
+
+    def run_words(self, stream: runtime.KernelInput):
+        """:meth:`run`, with each output as a ``(W,)`` uint64 word
+        array."""
+        outputs, stats = self.run(stream)
+        return ({name: runtime.to_words(value, stream.length)
+                 for name, value in outputs.items()}, stats)
 
     def run_data(self, data: bytes):
         """Transpose ``data`` and execute; returns (name → uint64
-        array, stats) over ``len(data) + 1`` bits."""
-        basis = runtime.basis_environment(data)
-        return self.run_words(basis, len(data) + 1)
-
-    def run(self, data: bytes) -> Dict[str, NPBitVector]:
-        """Execute and wrap the outputs as :class:`NPBitVector`."""
-        length = len(data) + 1
-        outputs, _ = self.run_data(data)
-        return {name: NPBitVector(np.array(words, dtype=np.uint64),
-                                  length)
-                for name, words in outputs.items()}
+        word array, stats) over ``len(data) + 1`` bits."""
+        return self.run_words(runtime.KernelInput.of(data))
 
 
 def compile_program(program: Program, honour_guards: bool = False,

@@ -1,16 +1,20 @@
-"""Compiled execution of whole engines: batched CTA dispatch and the
-metric estimates the fast path reports.
+"""Compiled execution of whole engines: CTA dispatch and the metric
+estimates the fast path reports.
 
 ``dispatch_programs`` is the simulator analog of one fused kernel
-launch over many CTAs: the input is transposed to the word layout once,
-compiled groups are bucketed by kernel fingerprint, and every bucket
-whose kernel is shared executes as ONE vectorised NumPy call over a 2D
-``uint64`` batch — per-CTA parameter matrices stacked on axis 0, basis
-words broadcast along the rows.  CTAs with unique kernels fall back to
-individual 1D calls (still compiled, still cached).
+launch over many CTAs: the input is transposed to the word layout once
+and converted to kernel ints once (:class:`~repro.backend.runtime.
+KernelInput`), compiled groups are bucketed by kernel fingerprint, and
+each bucket runs its shared kernel once per CTA with that CTA's
+parameters.
 
-``dispatch_streams`` batches the other axis the paper calls MIMD-style
-execution: one compiled group over many concurrent input streams.
+``dispatch_streams`` covers the other axis the paper calls MIMD-style
+execution: one compiled group over many concurrent input streams,
+transposed once per equal-length class.
+
+Both return per-CTA (or per-stream) outputs as ``(W,)`` uint64 word
+arrays; kernels run over ints, so outputs are converted where a kernel
+is left.
 
 Compiled execution produces bit-identical output streams but does not
 *simulate* the schedule, so the metrics here are estimates: compute-side
@@ -46,8 +50,7 @@ def compile_group(programs: Sequence[Program], honour_guards: bool = False,
 
 def dispatch_programs(compiled: Sequence[CompiledProgram], data: bytes
                       ) -> List[DispatchResult]:
-    """Run every compiled program over ``data``; programs sharing one
-    kernel execute as a single batched 2D call."""
+    """Run every compiled program over ``data``."""
     basis = runtime.basis_environment(data)
     length = len(data) + 1
     return dispatch_words(compiled, basis, length)
@@ -55,45 +58,27 @@ def dispatch_programs(compiled: Sequence[CompiledProgram], data: bytes
 
 def dispatch_words(compiled: Sequence[CompiledProgram], basis,
                    length: int) -> List[DispatchResult]:
+    """Run every compiled program over one ``(8, W)`` basis word array;
+    programs sharing a kernel run as one batch, a CTA at a time."""
+    stream = runtime.KernelInput(basis, length)
     buckets: Dict[str, List[int]] = {}
     for index, program in enumerate(compiled):
         buckets.setdefault(program.kernel.fingerprint, []).append(index)
 
     results: List[Optional[DispatchResult]] = [None] * len(compiled)
     for indices in buckets.values():
-        members = [compiled[i] for i in indices]
-        if len(members) == 1:
-            with obs.span("exec.batch", category="exec", ctas=1,
-                          kernel=members[0].kernel.fingerprint[:12]):
-                results[indices[0]] = members[0].run_words(basis,
-                                                           length)
-            continue
-        # One fused call for the whole bucket: stack the per-CTA
-        # parameter matrices into a (k, n_cc, 8) batch.
-        params = np.stack([m.params for m in members])
-        with obs.span("exec.batch", category="exec",
-                      ctas=len(members),
-                      kernel=members[0].kernel.fingerprint[:12]):
-            raw, stats = members[0].kernel(basis, params, length)
-        words = runtime.word_count(length)
-        for row, (index, member) in enumerate(zip(indices, members)):
-            outputs = {}
-            for name, stream in zip(member.output_names, raw):
-                if stream.ndim == 1:
-                    # Independent of the batched parameters: shared row.
-                    outputs[name] = stream.copy()
-                else:
-                    outputs[name] = np.ascontiguousarray(stream[row])
-                assert outputs[name].shape == (words,)
-            results[index] = (outputs, stats)
+        with obs.span("exec.batch", category="exec", ctas=len(indices),
+                      kernel=compiled[indices[0]].kernel.fingerprint[:12]):
+            for index in indices:
+                results[index] = compiled[index].run_words(stream)
     return results  # type: ignore[return-value]
 
 
 #: One equal-length batch of streams: ``(size, indices, basis)`` where
 #: ``indices`` are positions in the dispatch's stream list and
-#: ``basis`` is an ``(8, W)`` word array for a single stream or a
-#: plane-indexable ``(8, k, W)`` batch (a list of 8 ``(k, W)`` arrays
-#: or one contiguous 3D array — shared-memory shards use the latter).
+#: ``basis`` is an ``(8, W)`` word array for a single stream or an
+#: ``(8, k, W)`` array for ``k`` — shared-memory shards carry the same
+#: layout.
 StreamClass = Tuple[int, List[int], object]
 
 
@@ -119,10 +104,8 @@ def transpose_stream_classes(streams: Sequence[bytes]
             basis: object = runtime.basis_environment(
                 streams[indices[0]])
         else:
-            stacked = np.stack([runtime.basis_environment(streams[i])
-                                for i in indices])       # (k, 8, W)
-            basis = [np.ascontiguousarray(stacked[:, k, :])
-                     for k in range(8)]
+            basis = np.stack([runtime.basis_environment(streams[i])
+                              for i in indices], axis=1)   # (8, k, W)
         classes.append((size, indices, basis))
     return classes
 
@@ -130,38 +113,25 @@ def transpose_stream_classes(streams: Sequence[bytes]
 def dispatch_stream_classes(compiled: CompiledProgram,
                             classes: Sequence[StreamClass],
                             count: int) -> List[DispatchResult]:
-    """Run one compiled program over pre-transposed length classes —
-    the shared execution loop of :func:`dispatch_streams` and the
-    zero-copy shard path (workers resolve their classes straight out
-    of shared memory)."""
+    """Run one compiled program over pre-transposed length classes, a
+    stream at a time — the shared execution loop of
+    :func:`dispatch_streams` and the zero-copy shard path (workers
+    resolve their classes straight out of shared memory)."""
     results: List[Optional[DispatchResult]] = [None] * count
     for size, indices, basis in classes:
-        length = size + 1
-        if len(indices) == 1:
-            with obs.span("exec.batch", category="exec", streams=1,
-                          stream_bytes=size):
-                results[indices[0]] = compiled.run_words(basis, length)
-            continue
         with obs.span("exec.batch", category="exec",
                       streams=len(indices), stream_bytes=size):
-            raw, stats = compiled.kernel(basis, compiled.params, length)
-        words = runtime.word_count(length)
-        for row, index in enumerate(indices):
-            outputs = {}
-            for name, stream in zip(compiled.output_names, raw):
-                if stream.ndim == 1:
-                    outputs[name] = stream.copy()
-                else:
-                    outputs[name] = np.ascontiguousarray(stream[row])
-                assert outputs[name].shape == (words,)
-            results[index] = (outputs, stats)
+            for row, index in enumerate(indices):
+                planes = basis if len(indices) == 1 else basis[:, row]
+                results[index] = compiled.run_words(
+                    runtime.KernelInput(planes, size + 1))
     return results  # type: ignore[return-value]
 
 
 def dispatch_streams(compiled: CompiledProgram,
                      streams: Sequence[bytes]) -> List[DispatchResult]:
-    """Run one compiled program over many input streams; equal-length
-    streams batch into a single 2D call (MIMD-style CTAs)."""
+    """Run one compiled program over many input streams, transposing
+    each equal-length class once."""
     return dispatch_stream_classes(compiled,
                                    transpose_stream_classes(streams),
                                    len(streams))

@@ -1,39 +1,34 @@
 """Runtime support for compiled bitstream kernels.
 
-Generated kernels (see :mod:`repro.backend.codegen`) are straight-line
-Python over little-endian ``uint64`` word arrays — the
-:class:`~repro.bitstream.npvector.NPBitVector` layout.  This module is
-the small fixed vocabulary those kernels call into: constant-stream
-constructors, word-level shifts with cross-word carry, and the row-wise
-``any`` reduction that drives while-loops and zero guards.
+Generated kernels (see :mod:`repro.backend.codegen`) run over Python
+ints: each bitstream is one non-negative int whose bit *i* is text
+position *i*, so AND / OR / XOR and shifts are one C loop over the
+stream each and a zero test is O(1).
 
-Every helper operates on the *last* axis, so the same compiled kernel
-runs unchanged over a 1D ``(W,)`` array (one CTA) or a 2D ``(k, W)``
-batch (``k`` CTAs stacked — the simulator analog of launching one fused
-kernel over many CTAs).
+Code outside the kernels passes and reads the ``(8, W)`` little-endian
+``uint64`` word layout of :class:`~repro.bitstream.npvector.NPBitVector`
+— basis environments, dispatch outputs, shared-memory shard payloads.
+This module converts between the two only where a kernel is entered
+(:class:`KernelInput`) and left (:func:`to_words`).
 
-Invariant: every value a kernel produces is *tail-masked* — bits at or
-beyond the stream length in the last word are zero.  Bitwise AND / OR /
-XOR / ANDN preserve the invariant; NOT and upward shifts restore it
-explicitly.
+Invariant: every value a kernel produces is below ``2 ** L`` for stream
+length ``L``.  AND / OR / XOR / ANDN and the paper's ``<<`` (an int
+right shift) preserve it; NOT is an XOR with ``ONES``, and the paper's
+``>>`` (an int left shift) masks only when the shifted value outgrows
+``L`` bits.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .. import obs
-from ..bitstream.npvector import popcount_words  # noqa: F401  (re-export)
 from ..bitstream.transpose import transpose_words
 
 WORD_BITS = 64
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Coarse-grained by design: one update per scanned stream, never per
-#: word — the rest of this module is the kernels' per-word hot path
-#: and stays uninstrumented.
+#: kernel op.
 _TRANSPOSED_BYTES = obs.registry().counter(
     "repro_basis_transpose_bytes_total",
     "Input bytes transposed to basis-bit word layout")
@@ -44,14 +39,6 @@ def word_count(length: int) -> int:
     return max(1, -(-length // WORD_BITS))
 
 
-def tail_mask(length: int) -> np.uint64:
-    """Mask keeping only the valid bits of the final word."""
-    keep = length % WORD_BITS
-    if keep == 0:
-        return _FULL
-    return np.uint64((1 << keep) - 1)
-
-
 def basis_environment(data: bytes) -> np.ndarray:
     """The 8 basis streams of ``data`` as an ``(8, W)`` word array,
     padded to ``len(data) + 1`` bits (the interpreter's cursor slot)."""
@@ -59,92 +46,39 @@ def basis_environment(data: bytes) -> np.ndarray:
     return transpose_words(data, bits=len(data) + 1)
 
 
-# -- constant streams (all tail-masked by construction) --------------------
+class KernelInput:
+    """One input stream as the kernels read it.
 
-def zeros(words: int) -> np.ndarray:
-    return np.zeros(words, dtype=np.uint64)
-
-
-def ones(length: int, words: int) -> np.ndarray:
-    out = np.full(words, _FULL, dtype=np.uint64)
-    out[-1] &= tail_mask(length)
-    return out
-
-
-def start(words: int) -> np.ndarray:
-    out = np.zeros(words, dtype=np.uint64)
-    out[0] = np.uint64(1)
-    return out
-
-
-def end(length: int, words: int) -> np.ndarray:
-    out = np.zeros(words, dtype=np.uint64)
-    pos = length - 1
-    out[pos // WORD_BITS] = np.uint64(1 << (pos % WORD_BITS))
-    return out
-
-
-def text(length: int, words: int) -> np.ndarray:
-    """1 at every byte position, 0 at the final cursor slot."""
-    out = np.full(words, _FULL, dtype=np.uint64)
-    pos = length - 1  # number of text bits
-    idx = pos // WORD_BITS
-    out[idx] &= np.uint64((1 << (pos % WORD_BITS)) - 1) \
-        if pos % WORD_BITS else np.uint64(0)
-    out[idx + 1:] = 0
-    return out
-
-
-# -- shifts ------------------------------------------------------------------
-
-def shift_up(a: np.ndarray, word_shift: int, bit_shift: int,
-             tmask: np.uint64) -> np.ndarray:
-    """The paper's ``>>`` (advance): ``result[i] = a[i - d]``."""
-    width = a.shape[-1]
-    out = np.zeros_like(a)
-    if word_shift < width:
-        if bit_shift == 0:
-            out[..., word_shift:] = a[..., :width - word_shift]
-        else:
-            out[..., word_shift:] = \
-                a[..., :width - word_shift] << np.uint64(bit_shift)
-            out[..., word_shift + 1:] |= \
-                a[..., :width - word_shift - 1] \
-                >> np.uint64(WORD_BITS - bit_shift)
-    out[..., -1] &= tmask
-    return out
-
-
-def shift_down(a: np.ndarray, word_shift: int,
-               bit_shift: int) -> np.ndarray:
-    """The paper's ``<<``: ``result[i] = a[i + d]`` (zero fill; the
-    source's tail-mask invariant keeps out-of-range bits zero)."""
-    width = a.shape[-1]
-    out = np.zeros_like(a)
-    if word_shift < width:
-        if bit_shift == 0:
-            out[..., :width - word_shift] = a[..., word_shift:]
-        else:
-            out[..., :width - word_shift] = \
-                a[..., word_shift:] >> np.uint64(bit_shift)
-            out[..., :width - word_shift - 1] |= \
-                a[..., word_shift + 1:] << np.uint64(WORD_BITS - bit_shift)
-    return out
-
-
-# -- reductions ---------------------------------------------------------------
-
-def row_any(a: np.ndarray, parent: Optional[np.ndarray]) -> np.ndarray:
-    """Per-row "has any set bit", shaped ``(..., 1)`` for broadcasting.
-
-    ``parent`` is the enclosing loop's activity mask: a row frozen by an
-    outer loop must stay frozen in inner control flow even if its
-    (stale) condition stream is non-zero.
+    ``planes`` holds the 8 basis streams ``b0..b7`` as ints, then their
+    complements within the text (``bk ^ TEXT``): a MATCH_CC for byte
+    ``c`` ANDs plane ``k`` or ``8 + k`` per bit ``k`` of ``c``, which
+    keeps the final cursor slot clear without a separate ``TEXT`` term.
+    Built once per input and shared by every kernel run over it.
     """
-    act = a.any(axis=-1, keepdims=True)
-    if parent is not None:
-        act = act & parent
-    return act
+
+    __slots__ = ("length", "planes", "ones", "text")
+
+    def __init__(self, basis, length: int):
+        """``basis`` is an ``(8, W)`` word array, or any sequence of 8
+        ``(W,)`` word rows, padded to ``length`` bits with zeros."""
+        self.length = length
+        self.ones = (1 << length) - 1
+        self.text = self.ones >> 1
+        planes = tuple(int.from_bytes(basis[k].tobytes(), "little")
+                       for k in range(8))
+        self.planes = planes + tuple(plane ^ self.text for plane in planes)
+
+    @classmethod
+    def of(cls, data: bytes) -> "KernelInput":
+        """Transpose ``data`` and convert it (``len(data) + 1`` bits)."""
+        return cls(basis_environment(data), len(data) + 1)
+
+
+def to_words(value: int, length: int) -> np.ndarray:
+    """A kernel output as a writable ``(W,)`` little-endian uint64
+    word array (the :class:`NPBitVector` layout)."""
+    raw = bytearray(value.to_bytes(8 * word_count(length), "little"))
+    return np.frombuffer(raw, dtype="<u8")
 
 
 class KernelStats:
@@ -167,9 +101,6 @@ class KernelStats:
         for loop_id, count in self.loop_log:
             by_loop.setdefault(loop_id, []).append(count)
         return by_loop
-
-    def total_iterations(self) -> int:
-        return sum(count for _, count in self.loop_log)
 
     def merge(self, other: "KernelStats") -> "KernelStats":
         """Fold another invocation's counters into this one — used by

@@ -1,11 +1,19 @@
 """NumPy-backed bit vectors.
 
 An alternative backend to :class:`repro.bitstream.BitVector` storing the
-stream as a ``uint64`` word array.  Python's big integers are excellent
-for whole-stream boolean logic (their C loops beat anything NumPy can
-do for single operations on short streams), but word arrays win for
-very long streams and expose the word-level layout a real kernel uses —
-``benchmarks/bench_backend.py`` measures the crossover.
+stream as a ``uint64`` word array — the word-level layout a real kernel
+uses, and the one code outside the compiled kernels passes around
+(basis environments, dispatch outputs, shard payloads).
+
+It is not the faster substrate.  Per op on a 2-CPU host (Python 3.11,
+NumPy 2.4): at 8 Kbit an AND / ANDN / advance costs 1.1 / 1.2 / 7.1 µs
+here against 0.6 / 1.7 / 1.7 µs on ``BitVector`` — per-call overhead
+dominates.  At 1 Mbit an AND costs 6.5 µs on both; word arrays win
+ANDN (12 vs 110 µs) and advance (39 vs 78 µs) only because
+``BitVector`` builds a negative int for ``~b`` and masks every advance.
+The compiled kernels' int code avoids both: ``a ^ (a & b)`` takes
+13 µs and an unmasked shift about 28 µs.  ``benchmarks/bench_backend.py``
+times a mixed workload on both classes.
 
 The API mirrors ``BitVector`` exactly (same paper shift semantics:
 ``advance(k>0)`` is the paper's ``>>``), and a property test keeps the
@@ -163,6 +171,8 @@ class NPBitVector:
         so sparse match streams cost O(W + set words), not 64·W bits
         (the tail-mask invariant guarantees no bit beyond ``length``)."""
         nonzero = np.flatnonzero(self.words)
+        if not nonzero.size:
+            return nonzero
         bits = np.unpackbits(self.words[nonzero].view(np.uint8),
                              bitorder="little").reshape(-1, WORD_BITS)
         rows, cols = np.nonzero(bits)

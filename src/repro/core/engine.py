@@ -185,8 +185,8 @@ class BitGenEngine(Engine):
         one raises :class:`TypeError` with a migration hint).
 
         ``backend="compiled"`` executes matches through the cached
-        NumPy kernels of :mod:`repro.backend` with batched CTA
-        dispatch — bit-identical match sets, estimated metrics.
+        int kernels of :mod:`repro.backend` — bit-identical match sets,
+        estimated metrics.
         """
         reject_legacy_kwargs("BitGenEngine.compile", legacy)
         return cls._compile_config(
@@ -378,7 +378,8 @@ class BitGenEngine(Engine):
         return result
 
     def _compiled_programs(self) -> list:
-        """Group programs lowered to cached NumPy kernels (memoised)."""
+        """Group programs lowered to cached compiled kernels
+        (memoised)."""
         if self._compiled_group_cache is None:
             from ..backend import compile_group
 
@@ -389,8 +390,8 @@ class BitGenEngine(Engine):
 
     def _match_compiled(self, data: bytes,
                         active: Optional[set] = None) -> BitGenResult:
-        """Batched CTA dispatch: one transpose, groups whose programs
-        share a kernel fingerprint execute as a single 2D NumPy call."""
+        """Compiled CTA dispatch: one transpose, one conversion to
+        kernel ints, then every group's kernel in turn."""
         from ..backend import basis_environment
 
         return self.match_words(basis_environment(data), len(data),
@@ -409,8 +410,6 @@ class BitGenEngine(Engine):
         prefilter-activated groups; skipped groups share one empty
         metrics slot and keep their (provably all-zero) empty match
         lists.  The work after dispatch is O(active groups)."""
-        import numpy as np
-
         from ..backend import dispatch_words, estimate_metrics
         from ..bitstream.npvector import NPBitVector
 
@@ -432,8 +431,7 @@ class BitGenEngine(Engine):
                 result.cta_metrics[index] = metrics
                 result.metrics.merge(metrics)
                 for out in compiled.program.outputs:
-                    ends = NPBitVector(np.asarray(raw[out], dtype=np.uint64),
-                                       length).match_ends()
+                    ends = NPBitVector(raw[out], length).match_ends()
                     result.ends[compiled.group.indices[int(out[1:])]] = ends
                     matches += len(ends)
         _SCAN_BYTES.inc(input_bytes, backend="compiled")
@@ -462,8 +460,8 @@ class BitGenEngine(Engine):
         execution model becomes MIMD-style — every (group, stream) pair
         is an independent simulated CTA.  Results are returned per
         stream, each carrying its own metrics.  With the compiled
-        backend, equal-length streams batch into single 2D kernel
-        calls per group (:func:`~repro.backend.dispatch_streams`).
+        backend, equal-length streams are transposed as one class
+        (:func:`~repro.backend.dispatch_streams`).
 
         When the effective config requests ``workers > 1`` and the
         combined input clears ``min_parallel_bytes``, streams are
@@ -572,8 +570,6 @@ class BitGenEngine(Engine):
         the zero-copy shard path, once in the *parent*, with workers
         executing on shared-memory views.  ``active`` restricts
         execution to prefilter-activated group indices."""
-        import numpy as np
-
         from ..backend import dispatch_stream_classes, estimate_metrics
         from ..bitstream.npvector import NPBitVector
 
@@ -596,10 +592,8 @@ class BitGenEngine(Engine):
                 result.cta_metrics[index] = metrics
                 result.metrics.merge(metrics)
                 for out in compiled.program.outputs:
-                    vec = NPBitVector(np.asarray(raw[out],
-                                                 dtype=np.uint64), length)
                     result.ends[compiled.group.indices[int(out[1:])]] \
-                        = vec.match_ends()
+                        = NPBitVector(raw[out], length).match_ends()
         return results
 
     def match_starts(self, data: bytes) -> BitGenResult:

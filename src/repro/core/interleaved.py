@@ -210,7 +210,7 @@ class InterleavedExecutor:
     pre-transformed program and barrier plan).
 
     ``backend="compiled"`` swaps the per-window simulation for the
-    cached NumPy kernel (:mod:`repro.backend`): output streams are
+    cached compiled kernel (:mod:`repro.backend`): output streams are
     bit-identical, guards are honoured when requested, and the metrics
     are compute-side *estimates* (:func:`~repro.backend.estimate_metrics`)
     — schedule-fidelity counters (recomputation, barriers, shared
@@ -236,17 +236,14 @@ class InterleavedExecutor:
 
     def _run_compiled(self, program: Program,
                       data: bytes) -> ExecutionResult:
-        from ..backend import compile_program, estimate_metrics
+        from ..backend import KernelInput, compile_program, estimate_metrics
 
         compiled = compile_program(program,
                                    honour_guards=self.honour_guards)
-        raw, stats = compiled.run_data(data)
+        raw, stats = compiled.run(KernelInput.of(data))
         length = len(data) + 1
-        mask = (1 << length) - 1
-        outputs = {
-            out: BitVector(int.from_bytes(raw[out].tobytes(), "little")
-                           & mask, length)
-            for out in program.outputs}
+        outputs = {out: BitVector(raw[out], length)
+                   for out in program.outputs}
         metrics = estimate_metrics(program, self.geometry, length, stats)
         return ExecutionResult(outputs=outputs, metrics=metrics)
 

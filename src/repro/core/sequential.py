@@ -92,7 +92,7 @@ class SequentialExecutor:
     """Executes a program in the baseline schedule.
 
     ``backend="compiled"`` computes the output streams with the cached
-    NumPy kernel (:mod:`repro.backend`) and *replays* the baseline
+    compiled kernel (:mod:`repro.backend`) and *replays* the baseline
     schedule accounting arithmetically — pass structure, loads, stores
     and barriers are static, and the kernel reports the while-loop trip
     counts — so the metrics match the simulating path exactly while the
@@ -127,11 +127,11 @@ class SequentialExecutor:
     # -- compiled fast path -------------------------------------------------
 
     def _run_compiled(self, program: Program, data: bytes) -> ExecutionResult:
-        from ..backend import compile_program
+        from ..backend import KernelInput, compile_program
 
         # The baseline drops guards, so compile without honouring them.
         compiled = compile_program(program, honour_guards=False)
-        raw, stats = compiled.run_data(data)
+        raw, stats = compiled.run(KernelInput.of(data))
         length = len(data) + 1
 
         metrics = KernelMetrics()
@@ -144,11 +144,8 @@ class SequentialExecutor:
         self._replay(program.statements, _loop_ids(program), counts,
                      length, stream_bytes, materialised, metrics, memory)
 
-        mask = (1 << length) - 1
-        outputs = {
-            out: BitVector(int.from_bytes(raw[out].tobytes(), "little")
-                           & mask, length)
-            for out in program.outputs}
+        outputs = {out: BitVector(raw[out], length)
+                   for out in program.outputs}
         metrics.output_bits += length * len(outputs)
         return ExecutionResult(outputs=outputs, metrics=metrics)
 

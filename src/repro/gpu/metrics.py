@@ -50,15 +50,14 @@ class KernelMetrics:
     loop_iterations: int = 0          # while-loop iterations executed
 
     def merge(self, other: "KernelMetrics") -> None:
-        """Accumulate another kernel's counters into this one."""
-        for f in fields(self):
-            name = f.name
-            if name in ("dynamic_overlap_max", "peak_intermediate_bytes",
-                        "static_overlap_bits"):
-                setattr(self, name, max(getattr(self, name),
-                                        getattr(other, name)))
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+        """Accumulate another kernel's counters into this one: peaks
+        and static bounds take the max, every other counter sums."""
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _SUM_FIELDS:
+            mine[name] += theirs[name]
+        for name in _MAX_FIELDS:
+            if theirs[name] > mine[name]:
+                mine[name] = theirs[name]
 
     # -- derived quantities ---------------------------------------------------
 
@@ -84,3 +83,12 @@ class KernelMetrics:
                 f"dram={self.dram_total_bytes()}B smem={self.smem_total_bytes()}B "
                 f"barriers={self.barriers} loops={self.fused_loops} "
                 f"recompute={self.recompute_fraction():.2%}")
+
+
+#: Fields :meth:`KernelMetrics.merge` combines with ``max``; every other
+#: field sums.  Resolved once here, not per merge: a scan merges once
+#: per executed group.
+_MAX_FIELDS = ("peak_intermediate_bytes", "static_overlap_bits",
+               "dynamic_overlap_max")
+_SUM_FIELDS = tuple(f.name for f in fields(KernelMetrics)
+                    if f.name not in _MAX_FIELDS)

@@ -113,9 +113,9 @@ class Interpreter:
 
     ``backend`` selects the execution substrate: ``"bigint"`` (default)
     interprets statement-by-statement over Python big integers;
-    ``"compiled"`` lowers the program to a cached straight-line NumPy
-    kernel (:mod:`repro.backend`) — bit-identical outputs, no
-    per-instruction dispatch.
+    ``"compiled"`` lowers the program to a cached compiled kernel
+    (:mod:`repro.backend`) — bit-identical outputs, no per-instruction
+    dispatch.
     """
 
     def __init__(self, honour_guards: bool = False,
@@ -142,18 +142,18 @@ class Interpreter:
 
     def _run_compiled(self, program: Program,
                       data: bytes) -> Dict[str, BitVector]:
-        from ..backend import compile_program
+        from ..backend import KernelInput, compile_program
 
         compiled = compile_program(program,
                                    honour_guards=self.honour_guards)
-        outputs, stats = compiled.run_data(data)
+        outputs, stats = compiled.run(KernelInput.of(data))
         self.loop_iteration_counts = stats.iteration_counts()
         self.instructions_executed = program.instruction_count()
+        # Unmasked: BitVector rejects any bit at or past the stream end,
+        # so a kernel that leaks tail bits fails here.
         length = len(data) + 1
-        mask = (1 << length) - 1
-        return {name: BitVector(int.from_bytes(words.tobytes(), "little")
-                                & mask, length)
-                for name, words in outputs.items()}
+        return {name: BitVector(value, length)
+                for name, value in outputs.items()}
 
     def _exec_block(self, stmts: Sequence[Stmt], env: Dict[str, BitVector],
                     length: int) -> None:

@@ -143,6 +143,11 @@ class Tracer:
         self.trace_id = trace_id
         self.root_parent = root_parent
         self._spans: List[Dict[str, Any]] = []
+        #: span id -> positions in ``_spans`` of the records with that
+        #: id, and of the records it parents: :meth:`subtree` walks
+        #: these instead of rescanning every finished span
+        self._by_id: Dict[str, List[int]] = {}
+        self._children: Dict[Optional[str], List[int]] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         self._seq = itertools.count()
@@ -186,7 +191,15 @@ class Tracer:
             "attrs": span.attrs,
         }
         with self._lock:
-            self._spans.append(record)
+            self._record(record)
+
+    def _record(self, record: Dict[str, Any]) -> None:
+        """Append one finished span and index it (caller holds the
+        lock)."""
+        position = len(self._spans)
+        self._spans.append(record)
+        self._by_id.setdefault(record["id"], []).append(position)
+        self._children.setdefault(record["parent"], []).append(position)
 
     # -- context propagation -----------------------------------------------
 
@@ -203,7 +216,8 @@ class Tracer:
         """Stitch spans marshalled back from a worker process into
         this trace, preserving their order."""
         with self._lock:
-            self._spans.extend(spans)
+            for record in spans:
+                self._record(record)
 
     # -- queries -----------------------------------------------------------
 
@@ -214,20 +228,24 @@ class Tracer:
 
     def subtree(self, span_id: str) -> List[Dict[str, Any]]:
         """The span with ``span_id`` plus every (transitive) child,
-        in recorded order — the ``ScanReport.trace`` view."""
-        spans = self.finished()
-        keep = {span_id}
-        # Children may precede parents in completion order, so iterate
-        # until the reachable set stops growing.
-        grew = True
-        while grew:
-            grew = False
-            for record in spans:
-                if record["id"] not in keep and record["parent"] in keep:
-                    keep.add(record["id"])
-                    grew = True
-        return [record for record in spans if record["id"] in keep]
+        in recorded order — the ``ScanReport.trace`` view.  Walks the
+        parent index, so the cost is the subtree's size, not the
+        trace's."""
+        with self._lock:
+            reached = {span_id}
+            pending = [span_id]
+            while pending:
+                for position in self._children.get(pending.pop(), ()):
+                    child = self._spans[position]["id"]
+                    if child not in reached:
+                        reached.add(child)
+                        pending.append(child)
+            return [self._spans[position] for position in sorted(
+                position for span in reached
+                for position in self._by_id.get(span, ()))]
 
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
+            self._by_id.clear()
+            self._children.clear()

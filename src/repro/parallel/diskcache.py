@@ -1,7 +1,7 @@
 """Process-safe on-disk kernel cache.
 
 The in-process :class:`~repro.backend.compiled.KernelCache` keys
-compiled NumPy kernels by structural fingerprint; this module extends
+compiled kernels by structural fingerprint; this module extends
 that one level further out: fingerprint → *marshalled codegen artefact*
 (the generated source plus its compiled code object) persisted as one
 file per kernel, so pool workers never regenerate or re-``compile()``

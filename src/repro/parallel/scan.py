@@ -8,17 +8,15 @@ positions and aggregated metrics both.
 
 The identity guarantee comes from the shard planner: shards are built
 from the same batching units the serial compiled backend uses, so the
-vectorised NumPy calls inside a shard are literally the calls serial
-execution would have made.
+kernel calls inside a shard are literally the calls serial execution
+would have made.
 
-* **Stream sharding** distributes whole *length classes* —
-  :func:`~repro.backend.executor.dispatch_streams` batches equal-length
-  streams into one 2D call, so splitting a length class would change
-  batch shapes (and the shared per-batch loop statistics that metrics
-  are estimated from).
+* **Stream sharding** distributes whole *length classes* — the unit
+  :func:`~repro.backend.executor.dispatch_streams` transposes together
+  and a shard's shared-memory payload lays out as one array.
 * **Group sharding** distributes whole *kernel-fingerprint buckets* —
-  :func:`~repro.backend.executor.dispatch_words` fuses same-kernel CTAs
-  into one 2D call, so buckets must survive sharding intact.
+  the units :func:`~repro.backend.executor.dispatch_words` runs under
+  one ``exec.batch`` span.
 
 Process dispatch is **zero-copy**: instead of pickling word arrays and
 input batches into each worker, the parent packs them into one

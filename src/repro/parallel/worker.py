@@ -106,8 +106,8 @@ class GroupShardSpec:
 
 def scan_streams(payload) -> List:
     """One stream-shard: ``engine.match_many`` over a subset of the
-    dispatch's streams, serial inside the worker (batched CTA dispatch
-    stays intact because shards hold whole length classes).  Shared-
+    dispatch's streams, serial inside the worker (shards hold whole
+    length classes, the serial transpose unit).  Shared-
     memory shards execute straight on the parent's transposed words."""
     engine, shard, cache_dir = payload
     chaos.maybe_inject("worker.stream")

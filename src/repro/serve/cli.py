@@ -64,7 +64,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--executor", choices=EXECUTORS,
                         default="process")
     parser.add_argument("--backend", choices=BACKENDS,
-                        default="simulate")
+                        default="compiled",
+                        help="execution backend (default: compiled; "
+                             "simulate also models the GPU schedule, "
+                             "several times slower)")
     parser.add_argument("--scheme", choices=[s.name for s in Scheme],
                         default="ZBS")
     parser.add_argument("--metrics-port", type=int, default=None,

@@ -118,8 +118,11 @@ class ServeConfig:
     offload: bool = True
     #: width of the offload thread pool
     offload_workers: int = 4
-    #: default compile/dispatch configuration for hosted engines
-    scan: ScanConfig = field(default_factory=ScanConfig)
+    #: default compile/dispatch configuration for hosted engines: the
+    #: compiled backend, since a gateway needs matches, not the
+    #: simulator's schedule accounting
+    scan: ScanConfig = field(
+        default_factory=lambda: ScanConfig(backend="compiled"))
 
     def __post_init__(self):
         if self.max_engines < 1:

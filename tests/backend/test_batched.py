@@ -1,6 +1,6 @@
-"""Batched CTA dispatch must be bit-identical to one-at-a-time
-execution — stacking programs that share a kernel (or streams that
-share a program) into 2D calls is a pure scheduling change.
+"""Bucketed CTA dispatch must be bit-identical to one-at-a-time
+execution — grouping programs that share a kernel (or streams that
+share a length) is a pure scheduling change.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ DATA = b"abxabcbbd aacd xxy cat dog ac bc qrs " * 20
 
 def _programs(patterns):
     """MATCH_CC cursor matchers: same-shape literals share kernels, so
-    batching actually fires; regex programs lowered via CCCompiler get
-    per-structure kernels and go down the single-CTA path."""
+    buckets hold several CTAs; regex programs lowered via CCCompiler get
+    per-structure kernels and single-CTA buckets."""
     return [_literal_program(p) for p in patterns]
 
 
@@ -40,7 +40,7 @@ def test_dispatch_programs_matches_interpreter():
     programs = _programs(["abc", "xyz", "qrs"]) + \
         [lower_group([parse(p)]) for p in ["a(b|c)*d", "x{2,4}y"]]
     compiled = compile_group(programs)
-    # The three distinct-byte literals share one kernel → a 3-row batch.
+    # The three distinct-byte literals share one kernel → one bucket.
     fingerprints = [c.kernel.fingerprint for c in compiled]
     assert len(set(fingerprints[:3])) == 1
     length = len(DATA) + 1
@@ -101,6 +101,17 @@ def test_engine_match_many_backend_equivalence():
     for left, right in zip(simulate.match_many(streams),
                            compiled.match_many(streams)):
         assert left.ends == right.ends
+
+
+def test_match_many_reports_each_streams_own_metrics():
+    """Equal-length streams share a transpose class, not kernel stats:
+    each stream's metrics are what scanning it alone reports."""
+    engine = BitGenEngine.compile(["a(bc)*d", "x+y"],
+                                  config=ScanConfig(backend="compiled"))
+    streams = [b"abcd" + b"." * 40, b"a" + b"bc" * 20 + b"d" + b"xy",
+               b"." * 44]
+    for stream, result in zip(streams, engine.match_many(streams)):
+        assert result.metrics == engine.match(stream).metrics
 
 
 def test_sequential_compiled_metrics_match_simulation():

@@ -1,4 +1,4 @@
-"""CC parameter-slot deduplication and prologue hoisting (codegen v2).
+"""CC parameter-slot deduplication and prologue hoisting (codegen v2+).
 
 Identical character classes must collapse to one parameter slot during
 canonicalisation, and the generated source must compute each slot's
@@ -48,11 +48,11 @@ def test_identical_classes_share_one_slot():
 
 def test_source_hoists_each_slot_once():
     source = generate_source(canonicalize(cc_program()))
-    assert source.count("_cc0 = TEXT &") == 1
-    assert source.count("_cc1 = TEXT &") == 1
+    assert source.count("_cc0 = B[P[0]] &") == 1
+    assert source.count("_cc1 = B[P[8]] &") == 1
     # Consumers (including the loop body) only reference the temps.
-    assert "P[..., 0, 0, None]" in source
-    assert source.count("P[..., 0, 0, None]") == 1
+    assert source.count("B[P[0]]") == 1
+    assert source.count("B[P[") == 16
 
 
 def test_hoisted_kernel_matches_interpreter():
@@ -83,3 +83,38 @@ def test_slot_count_invariant_under_duplicates():
 
 def test_codegen_version_bumped_for_hoisting():
     assert CODEGEN_VERSION >= 2
+
+
+def test_dead_streams_are_deleted_after_their_last_read():
+    """A kernel frees each stream after its last read (outside loops)
+    or after the loop that last reads it; outputs are never freed."""
+    program = Program("d", [
+        Instr("x", Op.AND, ("b0", "b1")),
+        Instr("y", Op.OR, ("x", "b2")),
+        Instr("c", Op.COPY, ("y",)),
+        WhileLoop("c", [
+            Instr("t", Op.SHIFT, ("c",), shift=1),
+            Instr("c", Op.AND, ("t", "x")),
+        ]),
+        Instr("r", Op.OR, ("y", "b3")),
+    ], {"R": "r"})
+    program.validate()
+    canonical = canonicalize(program)
+    lines = [line.strip()
+             for line in generate_source(canonical).splitlines()]
+    x, y, c, t, r = (canonical.var_map[name] for name in "xyctr")
+
+    def freed_after(line: str) -> set:
+        following = lines[lines.index(line) + 1]
+        assert following.startswith("del ")
+        return set(following[len("del "):].split(", "))
+
+    assert freed_after(f"{x} = b0 & b1") == {"b0", "b1"}
+    # x, c and t are read inside the loop: they live until it ends.
+    assert freed_after("_stats.loop_log.append((0, _n0))") == {x, c, t}
+    assert freed_after(f"{r} = {y} | b3") == {y, "b3"}
+    assert not any(line.startswith("del ") and r in line[4:].split(", ")
+                   for line in lines)
+    data = b"abcxyz" * 20
+    assert Interpreter(backend="compiled").run(program, data) == \
+        Interpreter().run(program, data)

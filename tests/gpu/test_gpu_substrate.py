@@ -101,6 +101,25 @@ def test_metrics_merge_sums_and_maxes():
     assert a.dynamic_overlap_max == 9
 
 
+def test_metrics_merge_matches_fieldwise_reference():
+    """Every field merges as the per-field walk did: the three peak /
+    static-bound fields take the max, all others sum."""
+    import dataclasses
+    import random
+
+    maxed = {"dynamic_overlap_max", "peak_intermediate_bytes",
+             "static_overlap_bits"}
+    names = [f.name for f in dataclasses.fields(KernelMetrics)]
+    rng = random.Random(3)
+    for _ in range(50):
+        left = KernelMetrics(**{n: rng.randrange(100) for n in names})
+        right = KernelMetrics(**{n: rng.randrange(100) for n in names})
+        expected = {n: (max if n in maxed else int.__add__)(
+            getattr(left, n), getattr(right, n)) for n in names}
+        left.merge(right)
+        assert dataclasses.asdict(left) == expected
+
+
 def test_metrics_recompute_fraction():
     metrics = KernelMetrics(recomputed_bits=10, output_bits=90)
     assert metrics.recompute_fraction() == pytest.approx(0.1)

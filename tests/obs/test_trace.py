@@ -99,6 +99,60 @@ def test_subtree_extracts_descendants():
     assert sorted(s["name"] for s in subtree) == ["a", "b", "c"]
 
 
+def _brute_force_subtree(spans, span_id):
+    """Reachable set by rescanning every span until a fixpoint."""
+    keep = {span_id}
+    grew = True
+    while grew:
+        grew = False
+        for record in spans:
+            if record["id"] not in keep and record["parent"] in keep:
+                keep.add(record["id"])
+                grew = True
+    return [record for record in spans if record["id"] in keep]
+
+
+def _worker_spans(parent_id, tag):
+    """What a process-pool worker marshals back under ``parent_id``:
+    children finish before their parents, and ids carry another pid."""
+    def record(name, span_id, parent):
+        return {"name": name, "cat": "exec", "id": span_id,
+                "parent": parent, "trace": "t", "ts": 0.0, "dur": 0.0,
+                "cpu": 0.0, "pid": 0, "tid": 0, "attrs": {}}
+
+    return [record("batch", f"{tag}-2", f"{tag}-1"),
+            record("exec", f"{tag}-1", f"{tag}-0"),
+            record("shard", f"{tag}-0", parent_id),
+            record("shard", f"{tag}-3", parent_id)]
+
+
+def test_subtree_matches_brute_force_walk():
+    """Adopted worker spans land before their still-open parent; the
+    indexed walk must return exactly what a full rescan finds, in
+    recorded order."""
+    tracer = Tracer()
+    with tracer.span("before"):
+        pass
+    for tag in ("w1", "w2"):
+        with tracer.span("scan") as scan:
+            tracer.adopt(_worker_spans(scan.span_id, tag))
+            with tracer.span("merge"):
+                with tracer.span("ends"):
+                    pass
+        with tracer.span("between"):
+            pass
+    spans = tracer.finished()
+    for record in spans:
+        assert tracer.subtree(record["id"]) == \
+            _brute_force_subtree(spans, record["id"])
+    first_scan = next(s for s in spans if s["name"] == "scan")
+    assert [s["name"] for s in tracer.subtree(first_scan["id"])] == \
+        ["batch", "exec", "shard", "shard", "ends", "merge", "scan"]
+    assert tracer.subtree("no-such-span") == []
+    tracer.clear()
+    assert tracer.subtree(first_scan["id"]) == []
+
+
 def test_adopt_stitches_foreign_spans():
     parent = Tracer()
     with parent.span("scan") as scan:

@@ -70,3 +70,10 @@ def test_flags_reach_serve_config():
     assert config.session_idle_s == 30
     assert config.slo_target_s == 0.5
     assert config.offload is False
+
+
+def test_default_backend_is_compiled():
+    config = serve_config_from_args(build_serve_parser().parse_args([]))
+    assert config.scan.backend == "compiled"
+    assert "default: compiled" in " ".join(
+        build_serve_parser().format_help().split())

@@ -196,3 +196,44 @@ def test_closed_gateway_refuses_requests():
             await gw.scan("t", PATTERNS, DATA)
 
     run(main())
+
+
+def test_default_config_serves_on_the_compiled_backend():
+    assert ServeConfig().scan.backend == "compiled"
+    assert ScanConfig().backend == "simulate"   # the library default stays
+
+
+def test_default_gateway_matches_simulate_scans():
+    """Interleaved sessions and one-shot scans on the default (compiled)
+    gateway equal a simulate-backend scan of the same bytes."""
+    simulate = ScanConfig(backend="simulate")
+    chunk, chunks = 40, 4
+    base = DATA * 4
+    datas = [base[offset:offset + chunk * chunks]
+             for offset in (0, 11, 29, 47)]
+
+    async def main():
+        gw = Gateway(ServeConfig())
+        sessions = []
+        for index, data in enumerate(datas):
+            opened = await gw.open_session(f"t{index % 2}", PATTERNS)
+            sessions.append((f"t{index % 2}", opened["session"], data, {}))
+        for k in range(chunks):
+            for tenant, sid, data, got in sessions:
+                report = await gw.feed(tenant, sid,
+                                       data[k * chunk:(k + 1) * chunk])
+                for p, ends in report.matches.items():
+                    got.setdefault(p, []).extend(ends)
+        for tenant, sid, _, _ in sessions:
+            await gw.close_session(tenant, sid)
+        scans = [await gw.scan("t0", PATTERNS, data) for data in datas]
+        await gw.close()
+        return sessions, scans
+
+    sessions, scans = run(main())
+    for (_, _, data, got), scanned in zip(sessions, scans):
+        expected = nonempty(
+            repro.scan(PATTERNS, data, config=simulate).matches)
+        assert expected
+        assert nonempty(got) == expected
+        assert nonempty(scanned) == expected
