@@ -1,11 +1,11 @@
 """Code generation for bitstream programs.
 
-Lowers a :class:`~repro.ir.program.Program` into the source of ONE
-specialised Python function over Python ints — the reproduction's
-analog of the paper's NVRTC-compiled fused kernel.  Each bitstream is
-one non-negative int with bit *i* at text position *i*, so every op is
-one C loop over the whole stream and per-instruction dispatch
-disappears entirely:
+Lowers a canonical program (:mod:`repro.backend.fingerprint`) into the
+source of ONE specialised Python function over Python ints — the
+reproduction's analog of the paper's NVRTC-compiled fused kernel.  Each
+bitstream is one non-negative int with bit *i* at text position *i*, so
+every op is one C loop over the whole stream and per-instruction
+dispatch disappears entirely:
 
 * AND / OR / XOR are the int operators; NOT is ``x ^ ONES``;
 * ANDN is ``a ^ (a & b)``, which never builds a negative int (``~b``
@@ -13,19 +13,21 @@ disappears entirely:
 * the paper's ``>>`` (advance) is ``x << d``, masked back to ``L`` bits
   only when the shifted value outgrows them; the paper's ``<<`` is
   ``x >> d``;
-* MATCH_CC expands to the 8 basis-plane constraints, and while-loops
-  and zero guards become native control flow whose tests (``if x:``)
-  are O(1).
+* while-loops and zero guards become native control flow whose tests
+  (``if x:``) are O(1).
 
-Character classes are *parameters*, not constants: a MATCH_CC for byte
-``c`` ANDs, per bit ``k`` of ``c``, either basis plane ``bk`` or its
-complement, picked by index from the parameter tuple ``P``.  Programs
-that differ only in their byte constants therefore share one kernel.
-Each distinct parameter slot's 8-term expression is hoisted into one
-prologue temporary ``_cc<j>`` that every consumer (and every loop
-iteration) reuses — identical classes were deduplicated into one slot
-during canonicalisation, so the 8 terms are paid once per class per
-kernel call.
+Character classes never reach a group kernel.  Canonicalisation moved
+every class stream into the engine's class table; a kernel reads each
+of its parameter slots once, in the prologue, as ``c<j> = T[P[j]]``:
+``T`` is the table computed for this input, ``P`` the program's slot →
+table index binding.  Programs that differ only in their classes
+therefore share one kernel.
+
+The table itself is one more kernel, emitted by the same walker from
+:class:`~repro.backend.fingerprint.CanonicalClasses`: straight-line
+code over the 8 basis planes that computes each distinct class once,
+shares sub-expressions, and frees every intermediate after its last
+use.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from collections import Counter
 from typing import Dict, List, Optional, Set
 
 from ..ir.instructions import Op
-from .fingerprint import CanonicalProgram
+from ..ir.program import BASIS_VARS
+from .fingerprint import CanonicalClasses
 
 #: Extra iterations allowed beyond the stream length before a fixpoint
 #: loop is declared divergent (mirrors the interpreter's slack).
@@ -55,7 +58,8 @@ INDENT = " "
 #: emitted code shape so persisted on-disk kernels are invalidated.
 #: 2: CC parameter slots deduplicated + hoisted into prologue temps.
 #: 3: kernels over Python ints instead of uint64 word arrays.
-CODEGEN_VERSION = 3
+#: 4: class streams read from a shared class table (``T[P[j]]``).
+CODEGEN_VERSION = 4
 
 _BINOPS = {Op.AND.value: "&", Op.OR.value: "|", Op.XOR.value: "^"}
 
@@ -81,26 +85,27 @@ class CompileError(ValueError):
 
 
 class _Emitter:
-    """Walks canonical tokens and accumulates source lines."""
+    """Walks canonical tokens and accumulates source lines.  ``bound``
+    names what the prologue binds (slots, or a class kernel's planes):
+    streams owned elsewhere, never freed here."""
 
-    def __init__(self, canonical: CanonicalProgram):
+    def __init__(self, canonical, bound: List[str]):
         self.canonical = canonical
         self.lines: List[str] = []
         self.consts_used: Set[str] = set()
-        self.cc_slots_used: Set[int] = set()
         self.loop_id = 0
         self.loop_depth = 0
         self.guards = 0
         self.loop_preinit: Set[str] = set()
-        self._defined: Set[str] = set(canonical.tokens[1])  # inputs
-        body, outputs = canonical.tokens[2], canonical.tokens[3]
+        self._defined: Set[str] = set()
+        _, body, outputs = canonical.tokens
         #: variable -> reads anywhere in the program, outputs included
         self._reads: Counter = Counter(outputs)
         for token in body:
             self._reads.update(_token_reads(token))
         #: top-level token index -> variables read there for the last
         #: time; see :func:`_last_reads`
-        self._dead_after = _last_reads(body, set(outputs))
+        self._dead_after = _last_reads(body, set(outputs) | set(bound))
 
     def emit(self, line: str, depth: int) -> None:
         self.lines.append(INDENT * (depth + 1) + line)
@@ -116,13 +121,11 @@ class _Emitter:
     # -- expression fragments ---------------------------------------------
 
     def _instr_expr(self, token) -> str:
-        _, op, _dest, args, shift, const, cc_token = token
+        _, op, _dest, args, shift, const = token
         if op == Op.CONST.value:
             name = _CONST_EXPR[const]
             self.consts_used.add(name)
             return name
-        if op == Op.MATCH_CC.value:
-            return self._match_cc_expr(cc_token)
         if op in _BINOPS:
             return f"{args[0]} {_BINOPS[op]} {args[1]}"
         if op == Op.ANDN.value:
@@ -138,17 +141,6 @@ class _Emitter:
                 return f"{args[0]} << {shift}"
             return f"{args[0]} >> {-shift}"
         raise CompileError(f"unhandled op {op!r}")
-
-    def _match_cc_expr(self, cc_token: str) -> str:
-        if cc_token == "empty":
-            self.consts_used.add("Z")
-            return "Z"
-        # Slot index comes from canonicalisation, which deduplicates
-        # identical classes; the basis expression itself lives in the
-        # prologue as _cc<slot>, shared by every consumer.
-        slot = int(cc_token[2:])
-        self.cc_slots_used.add(slot)
-        return f"_cc{slot}"
 
     # -- statements --------------------------------------------------------
 
@@ -224,8 +216,14 @@ class _Emitter:
         if zeroed:
             self.emit(" = ".join(zeroed) + " = Z", depth + 1)
         self.emit("else:", depth)
+        emitted = len(self.lines)
         self.emit_deletions(index, depth + 1)
         self.emit_block(tokens, depth + 1, index + 1, end)
+        if len(self.lines) == emitted:
+            # The span held only class streams, which the table
+            # computes: the check (and its counters) stays, the empty
+            # branch goes.
+            self.lines.pop()
         return end
 
     def _live_definitions(self, span) -> List[str]:
@@ -260,10 +258,10 @@ def _token_reads(token) -> List[str]:
     return reads
 
 
-def _last_reads(body, outputs) -> Dict[int, List[str]]:
+def _last_reads(body, keep) -> Dict[int, List[str]]:
     """Top-level token index -> the variables read there for the last
-    time, outputs excepted.  Everything a loop reads counts at the
-    loop's index (its next iteration may read it again), so a stream
+    time, those in ``keep`` excepted.  Everything a loop reads counts at
+    the loop's index (its next iteration may read it again), so a stream
     dies after the last top-level token that reads it.  Deleting there
     frees it on every path that reaches it: a variable a skipped guard
     span would have defined is zeroed when read later, and one first
@@ -272,37 +270,39 @@ def _last_reads(body, outputs) -> Dict[int, List[str]]:
             for name in _token_reads(token)}
     dead: Dict[int, List[str]] = {}
     for name, index in last.items():
-        if name not in outputs:
+        if name not in keep:
             dead.setdefault(index, []).append(name)
     return dead
 
 
-def generate_source(canonical: CanonicalProgram,
-                    name: str = "_kernel") -> str:
-    """Full function source for one canonical program."""
-    emitter = _Emitter(canonical)
-    emitter.emit_block(canonical.tokens[2], 0)
+def generate_source(canonical, name: str = "_kernel") -> str:
+    """Full function source for one canonical program, or for a class
+    table's kernel (:class:`CanonicalClasses`): straight-line code
+    from the planes to the tuple of table entries."""
+    classes = isinstance(canonical, CanonicalClasses)
+    bound = list(BASIS_VARS) if classes else canonical.slot_names
+    emitter = _Emitter(canonical, bound)
+    emitter.emit_block(canonical.tokens[1], 0)
 
-    outputs = canonical.tokens[3]
-    prologue = ["L = S.length", f"_limit = L + {LOOP_SLACK}",
-                "B = S.planes"]
-    for k, basis in enumerate(canonical.tokens[1]):
-        if basis != f"b{k}":
-            raise CompileError(f"unexpected input layout {basis!r}")
-        prologue.append(f"b{k} = B[{k}]")
-    prologue += [_CONST_INIT[const] for const in sorted(emitter.consts_used)]
-    for slot in sorted(emitter.cc_slots_used):
-        terms = " & ".join(f"B[P[{8 * slot + k}]]" for k in range(8))
-        prologue.append(f"_cc{slot} = {terms}")
-    prologue += [f"{var} = Z" for var in sorted(emitter.loop_preinit)]
+    outputs = canonical.tokens[2]
+    consts = [_CONST_INIT[const] for const in sorted(emitter.consts_used)]
     epilogue = []
-    if emitter.guards:
-        # Guard counters live in locals and reach the stats once.
-        prologue.append("_checks = _hits = 0")
-        epilogue = ["_stats.guard_checks += _checks",
-                    "_stats.guard_hits += _hits"]
+    if classes:
+        head = f"def {name}(S):"
+        prologue = [", ".join(bound) + " = S.planes"] + consts
+    else:
+        head = f"def {name}(S, T, P, _stats):"
+        prologue = ["L = S.length", f"_limit = L + {LOOP_SLACK}"] + consts
+        prologue += [f"{var} = T[P[{slot}]]"
+                     for slot, var in enumerate(bound)]
+        prologue += [f"{var} = Z" for var in sorted(emitter.loop_preinit)]
+        if emitter.guards:
+            # Guard counters live in locals and reach the stats once.
+            prologue.append("_checks = _hits = 0")
+            epilogue = ["_stats.guard_checks += _checks",
+                        "_stats.guard_hits += _hits"]
     epilogue.append(f"return ({', '.join(outputs)}{',' if outputs else ''})")
-    return "\n".join([f"def {name}(S, P, _stats):"]
+    return "\n".join([head]
                      + [INDENT + line for line in prologue]
                      + (emitter.lines or [INDENT + "pass"])
                      + [INDENT + line for line in epilogue]) + "\n"

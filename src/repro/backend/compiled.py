@@ -1,6 +1,6 @@
-"""Compiled program objects and the fingerprint-keyed kernel cache.
+"""Compiled program objects, class tables and the kernel cache.
 
-``compile_program`` is the backend's front door: it canonicalises a
+``compile_group`` is the backend's front door: it canonicalises each
 program (:mod:`repro.backend.fingerprint`), looks the digest up in the
 process-wide :class:`KernelCache`, and only on a miss generates and
 ``compile()``s kernel source (:mod:`repro.backend.codegen`).  Repeated
@@ -8,22 +8,25 @@ harness cells, repeated blocks, and structurally repeated regex groups
 all reuse one code object — the simulator analog of the paper's cached
 NVRTC kernels.
 
-A :class:`CompiledProgram` binds a shared :class:`CompiledKernel` to
-one program instance's non-structural data: its character-class
-parameters and its output names.
+The programs of one group share one :class:`ClassTable`: every class
+stream any of them reads, computed once per input by one straight-line
+class kernel that goes through the same cache.  A
+:class:`CompiledProgram` binds a shared :class:`CompiledKernel` to one
+program instance's non-structural data: its table, the table index of
+each of its parameter slots, and its output names.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..ir.program import Program
 from . import runtime
-from .codegen import CompileError, generate_source
-from .fingerprint import CanonicalProgram, canonicalize
+from .codegen import generate_source
+from .fingerprint import CanonicalClasses, canonicalize
 
 _REG = obs.registry()
 _CACHE_LOOKUPS = _REG.counter(
@@ -69,22 +72,14 @@ class CacheStats:
 @dataclass
 class CompiledKernel:
     """One compiled code object, shared by every structurally equal
-    program (and every CTA dispatched over them)."""
+    program (and every CTA dispatched over them) or class table."""
 
     fingerprint: str
     source: str
     func: Callable
-    cc_count: int
-    output_names: Tuple[str, ...]
-    honour_guards: bool
     #: the module code object the kernel was exec'd from — what the
     #: on-disk cache persists (marshal round-trips code objects)
     code: Optional[object] = None
-
-    def __call__(self, stream: runtime.KernelInput, params: Tuple[int, ...]):
-        """Run over one input; returns (output ints, stats)."""
-        stats = runtime.KernelStats()
-        return self.func(stream, params, stats), stats
 
 
 class KernelCache:
@@ -122,8 +117,10 @@ class KernelCache:
             if kernel.code is not None:
                 disk.put(cache_key(digest), kernel.source, kernel.code)
 
-    def get_or_compile(self,
-                       canonical: CanonicalProgram) -> CompiledKernel:
+    def get_or_compile(self, canonical) -> CompiledKernel:
+        """The kernel of a :class:`~repro.backend.fingerprint.
+        CanonicalProgram` or :class:`~repro.backend.fingerprint.
+        CanonicalClasses`, built on a miss."""
         from .fingerprint import cache_key
 
         self.stats.lookups += 1
@@ -166,8 +163,7 @@ def kernel_cache() -> KernelCache:
     return _GLOBAL_CACHE
 
 
-def _build_kernel(canonical: CanonicalProgram,
-                  source: Optional[str] = None,
+def _build_kernel(canonical, source: Optional[str] = None,
                   code=None) -> CompiledKernel:
     """Build a kernel, reusing a persisted ``source``/``code`` pair
     (from the on-disk cache) when provided instead of regenerating."""
@@ -179,51 +175,66 @@ def _build_kernel(canonical: CanonicalProgram,
                        "exec")
     namespace: Dict[str, object] = {}
     exec(code, namespace)
-    outputs = canonical.tokens[3]
     return CompiledKernel(fingerprint=canonical.digest, source=source,
-                          func=namespace["_kernel"],
-                          cc_count=len(canonical.cc_classes),
-                          output_names=outputs,
-                          honour_guards=canonical.honour_guards,
-                          code=code)
+                          func=namespace["_kernel"], code=code)
 
 
-def _cc_params(canonical: CanonicalProgram) -> Tuple[int, ...]:
-    """Per-program parameters: ``P[8 * j + k]`` is the
-    :attr:`~repro.backend.runtime.KernelInput.planes` index cc slot
-    ``j`` ANDs for bit ``k`` — plane ``bk`` where the byte's bit is
-    set, its complement ``8 + k`` where it is clear."""
-    params = []
-    for cc in canonical.cc_classes:
-        if not cc.is_single():
-            raise CompileError(
-                "MATCH_CC supports only singleton classes; expand "
-                "multi-byte classes with CCCompiler")
-        byte = cc.single_byte()
-        params.extend(k if (byte >> (7 - k)) & 1 else 8 + k
-                      for k in range(8))
-    return tuple(params)
+class ClassTable:
+    """The class streams a group of compiled programs reads: each
+    distinct key once (``index``: key -> entry), computed per input by
+    one class kernel (looked up on first use, so compiling programs
+    that never run costs no class kernel)."""
+
+    def __init__(self, index: Dict[int, int], recipes: Dict[int, Tuple],
+                 cache: KernelCache):
+        self.index = index
+        self.canonical = CanonicalClasses(list(index), recipes)
+        self._cache = cache
+        self._kernel: Optional[CompiledKernel] = None
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def kernel(self) -> CompiledKernel:
+        if self._kernel is None:
+            self._kernel = self._cache.get_or_compile(self.canonical)
+        return self._kernel
+
+    def evaluate(self, stream: runtime.KernelInput) -> Tuple[int, ...]:
+        """Every table entry over one input, in table order."""
+        return self.kernel.func(stream)
 
 
 @dataclass
 class CompiledProgram:
-    """A shared kernel bound to one program's parameters and outputs."""
+    """A shared kernel bound to one program's class table, slot
+    bindings and outputs."""
 
     program: Program
     kernel: CompiledKernel
+    table: ClassTable
+    #: table index of each parameter slot
     params: Tuple[int, ...]
     output_names: List[str] = field(default_factory=list)
 
-    def run(self, stream: runtime.KernelInput):
-        """Execute over one converted input; returns (name → output
-        int, :class:`~repro.backend.runtime.KernelStats`)."""
-        raw, stats = self.kernel(stream, self.params)
+    def run(self, stream: runtime.KernelInput,
+            classes: Optional[Tuple[int, ...]] = None):
+        """Execute over one converted input, reading ``classes`` (this
+        program's table evaluated over ``stream``; computed here when
+        omitted).  Returns (name → output int,
+        :class:`~repro.backend.runtime.KernelStats`)."""
+        if classes is None:
+            classes = self.table.evaluate(stream)
+        stats = runtime.KernelStats()
+        raw = self.kernel.func(stream, classes, self.params, stats)
         return dict(zip(self.output_names, raw)), stats
 
-    def run_words(self, stream: runtime.KernelInput):
+    def run_words(self, stream: runtime.KernelInput,
+                  classes: Optional[Tuple[int, ...]] = None):
         """:meth:`run`, with each output as a ``(W,)`` uint64 word
         array."""
-        outputs, stats = self.run(stream)
+        outputs, stats = self.run(stream, classes)
         return ({name: runtime.to_words(value, stream.length)
                  for name, value in outputs.items()}, stats)
 
@@ -233,13 +244,30 @@ class CompiledProgram:
         return self.run_words(runtime.KernelInput.of(data))
 
 
+def compile_group(programs: Sequence[Program], honour_guards: bool = False,
+                  cache: Optional[KernelCache] = None
+                  ) -> List[CompiledProgram]:
+    """Lower ``programs`` to their cached kernels, bound to one shared
+    class table."""
+    store = cache if cache is not None else _GLOBAL_CACHE
+    recipes: Dict[int, Tuple] = {}
+    index: Dict[int, int] = {}
+    bound = []
+    for program in programs:
+        canonical = canonicalize(program, honour_guards, recipes)
+        params = tuple(index.setdefault(key, len(index))
+                       for key in canonical.slot_keys)
+        bound.append((program, store.get_or_compile(canonical), params))
+    table = ClassTable(index, recipes, store)
+    return [CompiledProgram(program=program, kernel=kernel, table=table,
+                            params=params,
+                            output_names=list(program.outputs.keys()))
+            for program, kernel, params in bound]
+
+
 def compile_program(program: Program, honour_guards: bool = False,
                     cache: Optional[KernelCache] = None
                     ) -> CompiledProgram:
-    """Lower ``program`` to its cached compiled kernel."""
-    canonical = canonicalize(program, honour_guards=honour_guards)
-    store = cache if cache is not None else _GLOBAL_CACHE
-    kernel = store.get_or_compile(canonical)
-    return CompiledProgram(program=program, kernel=kernel,
-                           params=_cc_params(canonical),
-                           output_names=list(program.outputs.keys()))
+    """Lower one program to its cached kernel and a one-program class
+    table."""
+    return compile_group([program], honour_guards, cache)[0]

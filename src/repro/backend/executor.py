@@ -4,9 +4,9 @@ estimates the fast path reports.
 ``dispatch_programs`` is the simulator analog of one fused kernel
 launch over many CTAs: the input is transposed to the word layout once
 and converted to kernel ints once (:class:`~repro.backend.runtime.
-KernelInput`), compiled groups are bucketed by kernel fingerprint, and
-each bucket runs its shared kernel once per CTA with that CTA's
-parameters.
+KernelInput`), the programs' shared class table is computed once,
+compiled groups are bucketed by kernel fingerprint, and each bucket
+runs its shared kernel once per CTA with that CTA's slot bindings.
 
 ``dispatch_streams`` covers the other axis the paper calls MIMD-style
 execution: one compiled group over many concurrent input streams,
@@ -26,7 +26,7 @@ left to the simulating executors.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,16 +36,9 @@ from ..gpu.metrics import KernelMetrics
 from ..ir.instructions import Instr, Op, WhileLoop
 from ..ir.program import Program
 from . import runtime
-from .compiled import CompiledProgram, KernelCache, compile_program
+from .compiled import ClassTable, CompiledProgram
 
 DispatchResult = Tuple[Dict[str, np.ndarray], runtime.KernelStats]
-
-
-def compile_group(programs: Sequence[Program], honour_guards: bool = False,
-                  cache: Optional[KernelCache] = None
-                  ) -> List[CompiledProgram]:
-    return [compile_program(p, honour_guards=honour_guards, cache=cache)
-            for p in programs]
 
 
 def dispatch_programs(compiled: Sequence[CompiledProgram], data: bytes
@@ -58,20 +51,41 @@ def dispatch_programs(compiled: Sequence[CompiledProgram], data: bytes
 
 def dispatch_words(compiled: Sequence[CompiledProgram], basis,
                    length: int) -> List[DispatchResult]:
-    """Run every compiled program over one ``(8, W)`` basis word array;
-    programs sharing a kernel run as one batch, a CTA at a time."""
+    """Run every compiled program (any subset of one or more
+    :func:`~repro.backend.compile_group` calls) over one ``(8, W)``
+    basis word array: each class table they read is computed once,
+    then programs sharing a kernel run as one batch, a CTA at a
+    time."""
+    results: List[Optional[DispatchResult]] = [None] * len(compiled)
+    for index, result in iter_dispatch(compiled, basis, length):
+        results[index] = result
+    return results  # type: ignore[return-value]
+
+
+def iter_dispatch(compiled: Sequence[CompiledProgram], basis, length: int
+                  ) -> Iterator[Tuple[int, DispatchResult]]:
+    """:func:`dispatch_words` as it runs: ``(position in compiled,
+    result)`` per program, a kernel batch at a time.  A caller that
+    consumes each result at once never holds every output stream
+    beside the class table."""
     stream = runtime.KernelInput(basis, length)
     buckets: Dict[str, List[int]] = {}
+    #: table -> its entries over this input
+    entries: Dict[ClassTable, Tuple[int, ...]] = {}
     for index, program in enumerate(compiled):
         buckets.setdefault(program.kernel.fingerprint, []).append(index)
+        if program.table not in entries:
+            with obs.span("exec.classes", category="exec",
+                          classes=len(program.table)):
+                entries[program.table] = program.table.evaluate(stream)
 
-    results: List[Optional[DispatchResult]] = [None] * len(compiled)
     for indices in buckets.values():
         with obs.span("exec.batch", category="exec", ctas=len(indices),
                       kernel=compiled[indices[0]].kernel.fingerprint[:12]):
-            for index in indices:
-                results[index] = compiled[index].run_words(stream)
-    return results  # type: ignore[return-value]
+            batch = [(index, compiled[index].run_words(
+                stream, entries[compiled[index].table]))
+                for index in indices]
+        yield from batch
 
 
 #: One equal-length batch of streams: ``(size, indices, basis)`` where
@@ -95,9 +109,9 @@ def stream_length_classes(streams: Sequence[bytes]
 def transpose_stream_classes(streams: Sequence[bytes]
                              ) -> List[StreamClass]:
     """Transpose every stream to the word layout, batched per length
-    class.  The result feeds :func:`dispatch_stream_classes` for any
-    number of compiled groups — the transpose is paid once, not once
-    per kernel."""
+    class.  The result feeds :func:`stream_rows` for any number of
+    compiled groups — the transpose is paid once, not once per kernel
+    or group."""
     classes: List[StreamClass] = []
     for size, indices in stream_length_classes(streams):
         if len(indices) == 1:
@@ -110,31 +124,26 @@ def transpose_stream_classes(streams: Sequence[bytes]
     return classes
 
 
-def dispatch_stream_classes(compiled: CompiledProgram,
-                            classes: Sequence[StreamClass],
-                            count: int) -> List[DispatchResult]:
-    """Run one compiled program over pre-transposed length classes, a
-    stream at a time — the shared execution loop of
-    :func:`dispatch_streams` and the zero-copy shard path (workers
+def stream_rows(classes: Sequence[StreamClass]
+                ) -> Iterator[Tuple[int, int, object]]:
+    """``(stream index, byte size, (8, W) basis)`` per stream of
+    pre-transposed length classes — the unit compiled multi-stream
+    matches dispatch, including the zero-copy shard path (workers
     resolve their classes straight out of shared memory)."""
-    results: List[Optional[DispatchResult]] = [None] * count
     for size, indices, basis in classes:
-        with obs.span("exec.batch", category="exec",
-                      streams=len(indices), stream_bytes=size):
-            for row, index in enumerate(indices):
-                planes = basis if len(indices) == 1 else basis[:, row]
-                results[index] = compiled.run_words(
-                    runtime.KernelInput(planes, size + 1))
-    return results  # type: ignore[return-value]
+        for row, index in enumerate(indices):
+            yield index, size, basis if len(indices) == 1 else basis[:, row]
 
 
 def dispatch_streams(compiled: CompiledProgram,
                      streams: Sequence[bytes]) -> List[DispatchResult]:
     """Run one compiled program over many input streams, transposing
     each equal-length class once."""
-    return dispatch_stream_classes(compiled,
-                                   transpose_stream_classes(streams),
-                                   len(streams))
+    results: List[Optional[DispatchResult]] = [None] * len(streams)
+    for index, size, basis in stream_rows(
+            transpose_stream_classes(streams)):
+        results[index] = dispatch_words([compiled], basis, size + 1)[0]
+    return results  # type: ignore[return-value]
 
 
 # -- metric estimation -------------------------------------------------------

@@ -47,14 +47,10 @@ def basis_environment(data: bytes) -> np.ndarray:
 
 
 class KernelInput:
-    """One input stream as the kernels read it.
-
-    ``planes`` holds the 8 basis streams ``b0..b7`` as ints, then their
-    complements within the text (``bk ^ TEXT``): a MATCH_CC for byte
-    ``c`` ANDs plane ``k`` or ``8 + k`` per bit ``k`` of ``c``, which
-    keeps the final cursor slot clear without a separate ``TEXT`` term.
-    Built once per input and shared by every kernel run over it.
-    """
+    """One input stream as the kernels read it: the 8 basis streams
+    ``b0..b7`` as ints (``planes``, read only by class kernels), the
+    length and the ``ONES`` / ``TEXT`` masks.  Built once per input and
+    shared by every kernel run over it."""
 
     __slots__ = ("length", "planes", "ones", "text")
 
@@ -64,9 +60,8 @@ class KernelInput:
         self.length = length
         self.ones = (1 << length) - 1
         self.text = self.ones >> 1
-        planes = tuple(int.from_bytes(basis[k].tobytes(), "little")
-                       for k in range(8))
-        self.planes = planes + tuple(plane ^ self.text for plane in planes)
+        self.planes = tuple(int.from_bytes(basis[k].tobytes(), "little")
+                            for k in range(8))
 
     @classmethod
     def of(cls, data: bytes) -> "KernelInput":

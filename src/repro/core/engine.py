@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..gpu.machine import DEFAULT_GEOMETRY, CTAGeometry
@@ -410,33 +410,54 @@ class BitGenEngine(Engine):
         prefilter-activated groups; skipped groups share one empty
         metrics slot and keep their (provably all-zero) empty match
         lists.  The work after dispatch is O(active groups)."""
-        from ..backend import dispatch_words, estimate_metrics
-        from ..bitstream.npvector import NPBitVector
+        from ..backend import iter_dispatch
 
         with obs.span("exec", category="exec", backend="compiled",
                       input_bytes=input_bytes, ctas=len(self.groups)):
-            length = input_bytes + 1
-            result = BitGenResult(pattern_count=self.pattern_count,
-                                  input_bytes=input_bytes)
-            result.cta_metrics = [KernelMetrics()] * len(self.groups)
-            programs = self._compiled_programs()
-            indices = range(len(self.groups)) if active is None \
-                else sorted(active)
-            matches = 0
-            for index, (raw, stats) in zip(indices, dispatch_words(
-                    [programs[i] for i in indices], basis, length)):
-                compiled = self.groups[index]
-                metrics = estimate_metrics(compiled.program,
-                                           self.geometry, length, stats)
-                result.cta_metrics[index] = metrics
-                result.metrics.merge(metrics)
-                for out in compiled.program.outputs:
-                    ends = NPBitVector(raw[out], length).match_ends()
-                    result.ends[compiled.group.indices[int(out[1:])]] = ends
-                    matches += len(ends)
+            indices, programs = self._active_programs(active)
+            result, matches = self._compiled_result(
+                input_bytes, indices,
+                iter_dispatch(programs, basis, input_bytes + 1))
         _SCAN_BYTES.inc(input_bytes, backend="compiled")
         _SCAN_MATCHES.inc(matches)
         return result
+
+    def _active_programs(self, active: Optional[set]):
+        """``(group indices, their compiled programs)`` to run: every
+        group, or the prefilter-activated ones in index order."""
+        programs = self._compiled_programs()
+        if active is None:
+            return range(len(self.groups)), programs
+        indices = sorted(active)
+        return indices, [programs[i] for i in indices]
+
+    def _compiled_result(self, input_bytes: int, indices, dispatched
+                         ) -> Tuple[BitGenResult, int]:
+        """One input's result, and its match count, from its dispatched
+        group kernels (``(position in indices, result)`` pairs, each
+        consumed as it arrives): the estimated metrics and match ends
+        of each group in ``indices``; the others keep an empty metrics
+        slot and no matches."""
+        from ..backend import estimate_metrics
+        from ..bitstream.npvector import NPBitVector
+
+        length = input_bytes + 1
+        result = BitGenResult(pattern_count=self.pattern_count,
+                              input_bytes=input_bytes)
+        result.cta_metrics = [KernelMetrics()] * len(self.groups)
+        matches = 0
+        for position, (raw, stats) in dispatched:
+            index = indices[position]
+            compiled = self.groups[index]
+            metrics = estimate_metrics(compiled.program, self.geometry,
+                                       length, stats)
+            result.cta_metrics[index] = metrics
+            result.metrics.merge(metrics)
+            for out in compiled.program.outputs:
+                ends = NPBitVector(raw[out], length).match_ends()
+                result.ends[compiled.group.indices[int(out[1:])]] = ends
+                matches += len(ends)
+        return result, matches
 
     def _run_group(self, compiled: CompiledGroup,
                    data: bytes) -> ExecutionResult:
@@ -569,32 +590,16 @@ class BitGenEngine(Engine):
         layout).  The transpose is paid once for all groups — and, on
         the zero-copy shard path, once in the *parent*, with workers
         executing on shared-memory views.  ``active`` restricts
-        execution to prefilter-activated group indices."""
-        from ..backend import dispatch_stream_classes, estimate_metrics
-        from ..bitstream.npvector import NPBitVector
+        execution to prefilter-activated group indices.  Each
+        stream's class table is computed once for all groups."""
+        from ..backend import iter_dispatch, stream_rows
 
-        results = [BitGenResult(pattern_count=self.pattern_count,
-                                input_bytes=size)
-                   for size in sizes]
-        for result in results:
-            result.cta_metrics = [KernelMetrics()] * len(self.groups)
-        programs = self._compiled_programs()
-        for index in (range(len(self.groups)) if active is None
-                      else sorted(active)):
-            compiled = self.groups[index]
-            for size, result, (raw, stats) in zip(
-                    sizes, results,
-                    dispatch_stream_classes(programs[index], classes,
-                                            len(results))):
-                length = size + 1
-                metrics = estimate_metrics(compiled.program,
-                                           self.geometry, length, stats)
-                result.cta_metrics[index] = metrics
-                result.metrics.merge(metrics)
-                for out in compiled.program.outputs:
-                    result.ends[compiled.group.indices[int(out[1:])]] \
-                        = NPBitVector(raw[out], length).match_ends()
-        return results
+        indices, programs = self._active_programs(active)
+        results: List[Optional[BitGenResult]] = [None] * len(sizes)
+        for index, size, basis in stream_rows(classes):
+            results[index] = self._compiled_result(
+                size, indices, iter_dispatch(programs, basis, size + 1))[0]
+        return results  # type: ignore[return-value]
 
     def match_starts(self, data: bytes) -> BitGenResult:
         """All-match *start* positions per pattern.

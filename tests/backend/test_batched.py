@@ -156,3 +156,18 @@ def test_cached_word_op_weights_match_a_fresh_walk():
             == walked.thread_word_ops
         ops.append((cached.loop_iterations, cached.thread_word_ops))
     assert ops[0][0] != ops[1][0]
+
+
+def test_compiled_zbs_metrics_are_pinned():
+    """A ZBS compiled engine's estimated metrics on a fixed input,
+    pinned: class streams moving out of guarded spans into the class
+    table must not shift the dynamic counters (guard checks and hits,
+    loop trips) the kernels report."""
+    patterns = ["a(bc)*d", "x+y", "cat|dog", "[0-9]{2,4}z", "ab[^\n]*cd",
+                "GET /[a-z]+", "\x00\xff+", "qu[aeiou]te", "zz(top)?s"]
+    data = (b"abcbcd cat abqqcd dog\n\x80bd ab\ncd a\xffbd catalog ") * 7
+    engine = BitGenEngine.compile(patterns, config=ScanConfig(
+        scheme=Scheme.ZBS, backend="compiled", cta_count=3))
+    metrics = engine.scan(data).metrics
+    assert (metrics.thread_word_ops, metrics.loop_iterations,
+            metrics.guard_checks, metrics.guard_hits) == (3780, 14, 60, 7)

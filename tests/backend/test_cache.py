@@ -6,7 +6,6 @@ constants are parameters rather than part of the key.
 import pytest
 
 from repro.backend import KernelCache, canonicalize, compile_program
-from repro.backend.codegen import CompileError
 from repro.ir.program import ProgramBuilder
 from repro.regex.charclass import CharClass
 
@@ -93,17 +92,48 @@ def test_honour_guards_is_part_of_the_key():
         canonicalize(program, honour_guards=False).digest
 
 
-def test_multibyte_match_cc_rejected():
-    from repro.ir.instructions import Instr, Op
+def test_multibyte_match_cc_matches_interpreter():
+    """MATCH_CC of any class compiles — the class table expands it over
+    the planes — and equals the interpreter running the class's
+    CCCompiler expansion, NUL (the byte the cursor slot reads as)
+    included, at top level and inside a loop body."""
+    from repro.ir.cc_compiler import CCCompiler
+    from repro.ir.instructions import Instr, Op, WhileLoop
+    from repro.ir.interpreter import Interpreter
     from repro.ir.program import Program
 
-    program = Program(
-        name="multibyte",
-        statements=[Instr(op=Op.MATCH_CC, dest="m", args=(),
-                          cc=CharClass.of_chars("ab"))],
-        outputs={"R0": "m"})
-    with pytest.raises(CompileError):
-        compile_program(program, cache=KernelCache())
+    def matcher(cc, expand: bool) -> Program:
+        builder = ProgramBuilder()
+        if expand:
+            matched = CCCompiler(builder).compile(cc)
+        else:
+            matched = builder.match_cc(cc)
+        builder.mark_output("R0", matched)
+        program = builder.finish()
+        # ...and again from a loop body: not a class stream there.
+        inner = "inner_" + matched
+        program.statements += [
+            Instr("go", Op.CONST, const="start"),
+            WhileLoop("go", [
+                (Instr(inner, Op.MATCH_CC, cc=cc) if not expand
+                 else Instr(inner, Op.COPY, (matched,))),
+                Instr("go", Op.CONST, const="zero"),
+            ]),
+        ]
+        program.outputs["R1"] = inner
+        program.validate()
+        return program
+
+    data = bytes(range(256)) + b"abba\x00\x80\xff" * 3
+    classes = [CharClass.of_chars("ab"), CharClass.of_chars("\x00a"),
+               CharClass.any_byte(), CharClass.dot(),
+               CharClass.of_chars("\x80\xff"), CharClass.single(0),
+               CharClass.empty()]
+    for cc in classes:
+        compiled = Interpreter(backend="compiled").run(
+            matcher(cc, expand=False), data)
+        assert compiled == Interpreter().run(matcher(cc, expand=True),
+                                             data), cc
 
 
 def test_global_cache_reports_hits():

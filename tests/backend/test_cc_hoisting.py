@@ -1,20 +1,23 @@
-"""CC parameter-slot deduplication and prologue hoisting (codegen v2+).
+"""Class streams, parameter slots and the shared class table
+(codegen v4).
 
 Identical character classes must collapse to one parameter slot during
-canonicalisation, and the generated source must compute each slot's
-8-term basis expression exactly once — in the prologue — no matter how
-many MATCH_CC consumers (or loop iterations) reference it.
+canonicalisation, and the generated source must read each slot from
+the class table exactly once — in the prologue — no matter how many
+consumers (or loop iterations) reference it.  Groups compiled together
+share one table entry per class, computed once per input.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from repro.backend import ClassTable, compile_group
 from repro.backend.codegen import CODEGEN_VERSION, generate_source
 from repro.backend.fingerprint import canonicalize, fingerprint
+from repro.core.engine import BitGenEngine
 from repro.ir.instructions import Instr, Op, WhileLoop
 from repro.ir.interpreter import Interpreter
 from repro.ir.program import Program
+from repro.parallel.config import ScanConfig
 from repro.regex.charclass import CharClass
 
 A = CharClass.of_char("a")
@@ -42,17 +45,19 @@ def cc_program():
 
 
 def test_identical_classes_share_one_slot():
+    # A class's key is its truth table: its bytes, cursor slot clear.
     canonical = canonicalize(cc_program())
-    assert canonical.cc_classes == [A, B]
+    assert canonical.slot_keys == [A._mask(), B._mask()]
 
 
 def test_source_hoists_each_slot_once():
     source = generate_source(canonicalize(cc_program()))
-    assert source.count("_cc0 = B[P[0]] &") == 1
-    assert source.count("_cc1 = B[P[8]] &") == 1
-    # Consumers (including the loop body) only reference the temps.
-    assert source.count("B[P[0]]") == 1
-    assert source.count("B[P[") == 16
+    # One table read per slot; consumers (including the loop body's
+    # MATCH_CC) only reference the slot variables.
+    assert source.count("c0 = T[P[0]]") == 1
+    assert source.count("c1 = T[P[1]]") == 1
+    assert source.count("T[P[") == 2
+    assert "S.planes" not in source
 
 
 def test_hoisted_kernel_matches_interpreter():
@@ -78,18 +83,20 @@ def test_slot_count_invariant_under_duplicates():
         Instr("out", Op.OR, ("p", "q")),
     ], {"R": "out"})
     assert fingerprint(single) == fingerprint(other)
-    assert len(canonicalize(single).cc_classes) == 1
+    assert len(canonicalize(single).slot_keys) == 1
 
 
 def test_codegen_version_bumped_for_hoisting():
-    assert CODEGEN_VERSION >= 2
+    assert CODEGEN_VERSION >= 4
 
 
 def test_dead_streams_are_deleted_after_their_last_read():
     """A kernel frees each stream after its last read (outside loops)
-    or after the loop that last reads it; outputs are never freed."""
+    or after the loop that last reads it; outputs and class-table
+    slots are never freed."""
     program = Program("d", [
-        Instr("x", Op.AND, ("b0", "b1")),
+        Instr("s", Op.SHIFT, ("b0",), shift=1),
+        Instr("x", Op.AND, ("s", "b1")),
         Instr("y", Op.OR, ("x", "b2")),
         Instr("c", Op.COPY, ("y",)),
         WhileLoop("c", [
@@ -102,19 +109,84 @@ def test_dead_streams_are_deleted_after_their_last_read():
     canonical = canonicalize(program)
     lines = [line.strip()
              for line in generate_source(canonical).splitlines()]
-    x, y, c, t, r = (canonical.var_map[name] for name in "xyctr")
+    s, x, y, c, t, r, b1, b3 = (canonical.var_map[name] for name in
+                                ("s", "x", "y", "c", "t", "r", "b1", "b3"))
 
     def freed_after(line: str) -> set:
         following = lines[lines.index(line) + 1]
         assert following.startswith("del ")
         return set(following[len("del "):].split(", "))
 
-    assert freed_after(f"{x} = b0 & b1") == {"b0", "b1"}
+    assert freed_after(f"{x} = {s} & {b1}") == {s}
     # x, c and t are read inside the loop: they live until it ends.
     assert freed_after("_stats.loop_log.append((0, _n0))") == {x, c, t}
-    assert freed_after(f"{r} = {y} | b3") == {y, "b3"}
-    assert not any(line.startswith("del ") and r in line[4:].split(", ")
-                   for line in lines)
+    assert freed_after(f"{r} = {y} | {b3}") == {y}
+    freed = {name for line in lines if line.startswith("del ")
+             for name in line[4:].split(", ")}
+    assert r not in freed
+    assert not freed & set(canonical.var_map[f"b{k}"] for k in range(4))
     data = b"abcxyz" * 20
     assert Interpreter(backend="compiled").run(program, data) == \
         Interpreter().run(program, data)
+
+
+def _engine(patterns, **config):
+    return BitGenEngine.compile(
+        patterns, config=ScanConfig(backend="compiled", **config))
+
+
+def test_groups_reading_one_class_share_one_table_entry():
+    """Two groups reading class ``a`` bind their slots to the same
+    table entry; the table holds each distinct class once."""
+    one = Program("one", [
+        Instr("x", Op.MATCH_CC, cc=A),
+        Instr("r", Op.SHIFT, ("x",), shift=1),
+    ], {"R": "r"})
+    two = Program("two", [
+        Instr("y", Op.MATCH_CC, cc=B),
+        Instr("z", Op.MATCH_CC, cc=A),
+        Instr("s", Op.SHIFT, ("y",), shift=2),
+        Instr("r", Op.AND, ("s", "z")),
+    ], {"R": "r"})
+    first, second = compile_group([one, two])
+    assert first.table is second.table
+    assert len(first.table) == 2
+    assert first.params == (first.table.index[A._mask()],)
+    assert second.params == (first.table.index[B._mask()],
+                             first.table.index[A._mask()])
+
+
+def test_match_runs_the_class_kernel_once(monkeypatch):
+    """One class-table evaluation per input, whatever the group count:
+    per ``match``, and per stream of a ``match_many``."""
+    calls = []
+    evaluate = ClassTable.evaluate
+
+    def counting(table, stream):
+        calls.append(stream.length)
+        return evaluate(table, stream)
+
+    monkeypatch.setattr(ClassTable, "evaluate", counting)
+    engine = _engine(["a(bc)*d", "x+y", "cat|dog", "[0-9]{2}z"],
+                     cta_count=4)
+    assert len(engine.groups) == 4
+    data = b"abcbcd xxy cat 12z dog" * 3
+    expected = _engine(["a(bc)*d", "x+y", "cat|dog", "[0-9]{2}z"],
+                       cta_count=1).match(data).ends
+    calls.clear()
+    assert engine.match(data).ends == expected
+    assert calls == [len(data) + 1]
+    calls.clear()
+    engine.match_many([data, data[:9], data])
+    assert sorted(calls) == sorted([len(data) + 1, 10, len(data) + 1])
+
+
+def test_every_engine_kernel_reads_classes_from_the_table():
+    engine = _engine(["a(bc)*d", "x+y", "[^\\n]+z", "\\x00\\xff"],
+                     cta_count=2)
+    programs = engine._compiled_programs()
+    assert len({id(p.table) for p in programs}) == 1
+    for program in programs:
+        assert "S.planes" not in program.kernel.source
+        assert "B[" not in program.kernel.source
+    assert "S.planes" in programs[0].table.kernel.source

@@ -23,6 +23,10 @@ from repro.regex import ast
 from repro.regex.charclass import CharClass
 
 ALPHABET = "abcd"
+#: bytes outside the alphabet that some inputs draw: NUL (the byte the
+#: cursor slot reads as) and the high-bit extremes
+EXTRA_BYTES = "\x00\x80\xff"
+BACKENDS = ["simulate", "compiled"]
 TINY = CTAGeometry(threads=8, word_bits=4)
 
 pytestmark = pytest.mark.slow
@@ -54,12 +58,17 @@ def random_regex(rng: random.Random, depth: int = 3) -> ast.Regex:
 def _random_lit(rng: random.Random) -> ast.Regex:
     count = rng.randint(1, len(ALPHABET))
     chars = rng.sample(ALPHABET, count)
-    return ast.Lit(CharClass.of_chars("".join(chars)))
+    cc = CharClass.of_chars("".join(chars))
+    # A negated class also holds NUL and the high bytes.
+    return ast.Lit(cc.complement() if rng.random() < 0.1 else cc)
 
 
 def random_input(rng: random.Random) -> bytes:
-    return "".join(rng.choice(ALPHABET + " ")
-                   for _ in range(rng.randrange(0, 80))).encode()
+    alphabet = ALPHABET + " "
+    if rng.random() < 0.5:
+        alphabet += EXTRA_BYTES
+    return "".join(rng.choice(alphabet) for _ in
+                   range(rng.randrange(0, 80))).encode("latin-1")
 
 
 @settings(max_examples=120, deadline=None)
@@ -81,15 +90,17 @@ def test_three_way_differential(seed):
         f"interleaved vs interpreter disagree: {node!r} on {data!r}"
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**64))
-def test_multi_pattern_differential(seed):
+@given(seed=st.integers(min_value=0, max_value=2**64))
+def test_multi_pattern_differential(backend, seed):
     rng = random.Random(seed)
     nodes = [random_regex(rng, depth=2) for _ in range(4)]
     data = random_input(rng)
     engine = BitGenEngine.compile(
         nodes, config=ScanConfig(scheme=Scheme.SR, geometry=TINY,
-                                 cta_count=2, loop_fallback=True))
+                                 cta_count=2, loop_fallback=True,
+                                 backend=backend))
     result = engine.match(data)
     expected = run_regexes(nodes, data)
     for index in range(len(nodes)):
@@ -97,12 +108,14 @@ def test_multi_pattern_differential(seed):
             f"pattern {index}: {nodes[index]!r} on {data!r}"
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**64))
-def test_prefiltered_factored_differential(seed):
+@given(seed=st.integers(min_value=0, max_value=2**64))
+def test_prefiltered_factored_differential(backend, seed):
     """The rule-set-scale pipeline (prologue factoring + literal
     prefilter gating, both gate impls, both grouping strategies) must
-    be bit-identical to the plain ungated interpreter."""
+    be bit-identical to the plain ungated interpreter — on the
+    compiled backend, with gated subsets of one shared class table."""
     rng = random.Random(seed)
     nodes = [random_regex(rng, depth=2) for _ in range(5)]
     data = random_input(rng)
@@ -113,7 +126,8 @@ def test_prefiltered_factored_differential(seed):
                 nodes, config=ScanConfig(
                     scheme=Scheme.ZBS, geometry=TINY, cta_count=2,
                     grouping=grouping, prefilter=True,
-                    prefilter_impl=impl, loop_fallback=True))
+                    prefilter_impl=impl, loop_fallback=True,
+                    backend=backend))
             result = engine.match(data)
             for index in range(len(nodes)):
                 assert result.ends[index] == expected[f"R{index}"], \

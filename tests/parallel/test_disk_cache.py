@@ -141,6 +141,23 @@ def test_fresh_cache_loads_from_warm_disk(tmp_path):
     assert loaded.fingerprint == built.fingerprint
 
 
+def test_class_table_kernel_loads_from_warm_disk(tmp_path):
+    """A class table's kernel is persisted like a group kernel, so a
+    worker compiling the same group loads it instead of rebuilding."""
+    from repro.backend import KernelInput, compile_group
+
+    programs = [lower_regex(parse(p)) for p in ("ab+c", "[0-9]x")]
+    stream = KernelInput.of(b"abbc 7x a0x")
+    warm = KernelCache(disk=DiskKernelCache(str(tmp_path)))
+    expected = compile_group(programs, cache=warm)[0].table.evaluate(stream)
+
+    cold = KernelCache(disk=DiskKernelCache(str(tmp_path)))
+    table = compile_group(programs, cache=cold)[0].table
+    assert table.evaluate(stream) == expected
+    # two group kernels and the class kernel, all loaded from disk
+    assert cold.stats.lookups == cold.stats.disk_hits == 3
+
+
 def test_attach_disk_flushes_resident_kernels(tmp_path):
     cache = KernelCache()
     canonical = canonical_program("xy?z")
