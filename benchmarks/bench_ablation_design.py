@@ -100,7 +100,7 @@ def test_ablation_group_compilation(ctx, benchmark):
         "grouping shares at least 5% of the instructions on every app"
     workload = ctx.harness.workload("TCP")
     benchmark(lambda: BitGenEngine.compile(
-        workload.nodes[:3], config=ScanConfig(optimize=True)))
+        workload.nodes[:3], config=ScanConfig()))
 
 
 GEOMETRIES = (CTAGeometry(threads=16, word_bits=32),    # 512-bit blocks

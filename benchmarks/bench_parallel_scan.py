@@ -58,7 +58,7 @@ def available_cpus() -> int:
 def build_streams(count: int, lengths) -> list:
     base = (b"abcbcd colour cat 42 xyyz virus7 GET /index "
             b"foo bar qux color abcd " * 1200)
-    # Several length classes so the stream shard planner has real work.
+    # Mixed lengths so the stream shard planner has real balancing work.
     return [base[:lengths[index % len(lengths)]]
             for index in range(count)]
 

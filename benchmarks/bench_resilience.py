@@ -106,8 +106,7 @@ def clean_path_guard(engine, repeat: int) -> dict:
     wall = best_of(lambda: scanner.match_many(STREAMS), repeat)
     assert scanner.faults == []
 
-    shards = len(plan_stream_shards(STREAMS, config.workers,
-                                    preserve_batches=True))
+    shards = len(plan_stream_shards(STREAMS, config.workers))
     costs = per_call_costs()
     # Hook sites on one clean dispatch: maybe_inject + armed() in
     # _acquire (charged as two maybe_inject-class env reads), one

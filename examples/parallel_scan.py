@@ -15,7 +15,7 @@ import os
 
 import repro.parallel
 from repro import BitGenEngine, ScanConfig
-from repro.parallel.worker import FAULT_ENV
+from repro.resilience import CHAOS_ENV
 
 PATTERNS = [
     "GET /[a-z]+",           # HTTP requests
@@ -27,7 +27,7 @@ PATTERNS = [
 BASE = (b"GET /index 09:30 virus7 abcbcd ... GET /login 10:45 "
         b"virus12 abcd " * 60)
 
-#: a few packet-length classes, like a real capture
+#: a few packet lengths, like a real capture
 STREAMS = [BASE[:size] for size in (512, 1024, 2048, 512, 1024, 4096,
                                     2048, 512)]
 
@@ -55,14 +55,14 @@ def main() -> None:
               f"({len(STREAMS[index])} bytes) — identical to serial")
     print(f"\nfaults: {parallel.last_scan_faults}")
 
-    # Graceful degradation: arm the fault-injection hook so every
-    # worker dies, and the scan still answers — serially, with the
+    # Graceful degradation: arm fault injection so every worker task
+    # fails, and the scan still answers — serially, with the
     # incidents on the record.
-    os.environ[FAULT_ENV] = "1"
+    os.environ[CHAOS_ENV] = "worker.*:exception"
     try:
         degraded = parallel.match_many(STREAMS)
     finally:
-        del os.environ[FAULT_ENV]
+        del os.environ[CHAOS_ENV]
     assert all(l.ends == r.ends
                for l, r in zip(degraded, serial_results))
     print(f"\nwith every worker crashing: results still identical; "

@@ -14,8 +14,9 @@ Front doors:
 
 * :func:`compile_group` — programs → cached kernels on one class table
 * :func:`compile_program` — one program, its own one-program table
-* :func:`dispatch_programs` — many CTAs over one input
-* :func:`dispatch_streams` — one CTA over many inputs
+* :func:`basis_environment` — one input → its ``(8, W)`` basis words
+* :func:`dispatch_words` / :func:`iter_dispatch` — many CTAs over one
+  input's basis words (several inputs are several dispatches)
 * :func:`kernel_cache` — the process-wide cache (hit-rate reporting)
 """
 
@@ -23,10 +24,7 @@ from .codegen import CompileError, generate_source
 from .compiled import (CacheStats, ClassTable, CompiledKernel,
                        CompiledProgram, KernelCache, compile_group,
                        compile_program, kernel_cache)
-from .executor import (dispatch_programs, dispatch_streams,
-                       dispatch_words, estimate_metrics, iter_dispatch,
-                       stream_length_classes, stream_rows,
-                       transpose_stream_classes)
+from .executor import dispatch_words, estimate_metrics, iter_dispatch
 from .fingerprint import cache_key, canonicalize, fingerprint
 from .runtime import KernelInput, KernelStats, basis_environment
 
@@ -44,15 +42,10 @@ __all__ = [
     "canonicalize",
     "compile_group",
     "compile_program",
-    "dispatch_programs",
-    "dispatch_streams",
     "dispatch_words",
     "estimate_metrics",
     "fingerprint",
     "generate_source",
     "iter_dispatch",
     "kernel_cache",
-    "stream_length_classes",
-    "stream_rows",
-    "transpose_stream_classes",
 ]

@@ -1,20 +1,16 @@
 """Compiled execution of whole engines: CTA dispatch and the metric
 estimates the fast path reports.
 
-``dispatch_programs`` is the simulator analog of one fused kernel
-launch over many CTAs: the input is transposed to the word layout once
-and converted to kernel ints once (:class:`~repro.backend.runtime.
-KernelInput`), the programs' shared class table is computed once,
-compiled groups are bucketed by kernel fingerprint, and each bucket
-runs its shared kernel once per CTA with that CTA's slot bindings.
+:func:`dispatch_words` is the simulator analog of one fused kernel
+launch over many CTAs: the caller transposes one input to its ``(8, W)``
+basis words, the words are converted to kernel ints once
+(:class:`~repro.backend.runtime.KernelInput`), each class table the
+programs read is computed once, and programs sharing a kernel run as
+one batch, a CTA at a time.  Several input streams are just more
+independent dispatches — the paper's MIMD-style (group, stream) CTAs.
 
-``dispatch_streams`` covers the other axis the paper calls MIMD-style
-execution: one compiled group over many concurrent input streams,
-transposed once per equal-length class.
-
-Both return per-CTA (or per-stream) outputs as ``(W,)`` uint64 word
-arrays; kernels run over ints, so outputs are converted where a kernel
-is left.
+Dispatch returns per-CTA outputs as ``(W,)`` uint64 word arrays;
+kernels run over ints, so outputs are converted where a kernel is left.
 
 Compiled execution produces bit-identical output streams but does not
 *simulate* the schedule, so the metrics here are estimates: compute-side
@@ -39,14 +35,6 @@ from . import runtime
 from .compiled import ClassTable, CompiledProgram
 
 DispatchResult = Tuple[Dict[str, np.ndarray], runtime.KernelStats]
-
-
-def dispatch_programs(compiled: Sequence[CompiledProgram], data: bytes
-                      ) -> List[DispatchResult]:
-    """Run every compiled program over ``data``."""
-    basis = runtime.basis_environment(data)
-    length = len(data) + 1
-    return dispatch_words(compiled, basis, length)
 
 
 def dispatch_words(compiled: Sequence[CompiledProgram], basis,
@@ -86,64 +74,6 @@ def iter_dispatch(compiled: Sequence[CompiledProgram], basis, length: int
                 stream, entries[compiled[index].table]))
                 for index in indices]
         yield from batch
-
-
-#: One equal-length batch of streams: ``(size, indices, basis)`` where
-#: ``indices`` are positions in the dispatch's stream list and
-#: ``basis`` is an ``(8, W)`` word array for a single stream or an
-#: ``(8, k, W)`` array for ``k`` — shared-memory shards carry the same
-#: layout.
-StreamClass = Tuple[int, List[int], object]
-
-
-def stream_length_classes(streams: Sequence[bytes]
-                          ) -> List[Tuple[int, List[int]]]:
-    """Group stream indices by byte length — the serial batching unit
-    stream sharding must keep whole."""
-    by_length: Dict[int, List[int]] = {}
-    for index, stream in enumerate(streams):
-        by_length.setdefault(len(stream), []).append(index)
-    return list(by_length.items())
-
-
-def transpose_stream_classes(streams: Sequence[bytes]
-                             ) -> List[StreamClass]:
-    """Transpose every stream to the word layout, batched per length
-    class.  The result feeds :func:`stream_rows` for any number of
-    compiled groups — the transpose is paid once, not once per kernel
-    or group."""
-    classes: List[StreamClass] = []
-    for size, indices in stream_length_classes(streams):
-        if len(indices) == 1:
-            basis: object = runtime.basis_environment(
-                streams[indices[0]])
-        else:
-            basis = np.stack([runtime.basis_environment(streams[i])
-                              for i in indices], axis=1)   # (8, k, W)
-        classes.append((size, indices, basis))
-    return classes
-
-
-def stream_rows(classes: Sequence[StreamClass]
-                ) -> Iterator[Tuple[int, int, object]]:
-    """``(stream index, byte size, (8, W) basis)`` per stream of
-    pre-transposed length classes — the unit compiled multi-stream
-    matches dispatch, including the zero-copy shard path (workers
-    resolve their classes straight out of shared memory)."""
-    for size, indices, basis in classes:
-        for row, index in enumerate(indices):
-            yield index, size, basis if len(indices) == 1 else basis[:, row]
-
-
-def dispatch_streams(compiled: CompiledProgram,
-                     streams: Sequence[bytes]) -> List[DispatchResult]:
-    """Run one compiled program over many input streams, transposing
-    each equal-length class once."""
-    results: List[Optional[DispatchResult]] = [None] * len(streams)
-    for index, size, basis in stream_rows(
-            transpose_stream_classes(streams)):
-        results[index] = dispatch_words([compiled], basis, size + 1)[0]
-    return results  # type: ignore[return-value]
 
 
 # -- metric estimation -------------------------------------------------------

@@ -87,21 +87,3 @@ class KernelStats:
         self.loop_log = []
         self.guard_checks = 0
         self.guard_hits = 0
-
-    def iteration_counts(self):
-        return [count for _, count in self.loop_log]
-
-    def counts_by_loop(self):
-        by_loop = {}
-        for loop_id, count in self.loop_log:
-            by_loop.setdefault(loop_id, []).append(count)
-        return by_loop
-
-    def merge(self, other: "KernelStats") -> "KernelStats":
-        """Fold another invocation's counters into this one — used by
-        sharded dispatch to present one session-level view of the
-        dynamic work its shards performed."""
-        self.loop_log.extend(other.loop_log)
-        self.guard_checks += other.guard_checks
-        self.guard_hits += other.guard_hits
-        return self

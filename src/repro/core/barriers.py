@@ -34,6 +34,8 @@ class ShiftGroupInfo:
     #: number of distinct operand blocks the group stores to shared
     #: memory (meaningful on the leader, where the stores happen)
     stored_vars: int = 1
+    #: the SHIFT itself (the plan re-keys on it after unpickling)
+    instr: Optional[Instr] = None
 
 
 @dataclass
@@ -49,6 +51,14 @@ class BarrierPlan:
 
     def lookup(self, instr: Instr) -> Optional[ShiftGroupInfo]:
         return self._by_instr.get(id(instr))
+
+    def __setstate__(self, state):
+        """``id()`` keys do not survive pickling: a process worker gets
+        new SHIFT objects (the ones its unpickled program holds), so
+        re-key on them."""
+        self.__dict__.update(state)
+        self._by_instr = {id(info.instr): info
+                          for info in self._by_instr.values()}
 
     def smem_bytes_needed(self, block_bytes: int) -> int:
         return self.max_group_stores * block_bytes
@@ -127,13 +137,13 @@ def _plan_region(stmts: Sequence[Stmt], plan: BarrierPlan,
                 group.members.append(instr)
                 group.stored.add(operand)
                 plan._by_instr[id(instr)] = ShiftGroupInfo(
-                    group.group_id, is_leader=False)
+                    group.group_id, is_leader=False, instr=instr)
             else:
                 finish_group()
                 group = _Group(plan.group_count, instr, index,
                                stored={operand})
                 plan._by_instr[id(instr)] = ShiftGroupInfo(
-                    group.group_id, is_leader=True)
+                    group.group_id, is_leader=True, instr=instr)
                 plan.group_count += 1
         last_def[instr.dest] = index
     finish_group()

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
+from ..bitstream.bitvector import BitVector
 from ..gpu.machine import DEFAULT_GEOMETRY, CTAGeometry
 from ..gpu.metrics import KernelMetrics
+from ..ir.interpreter import words_environment
 from ..ir.lower import lower_group
 from ..ir.passes import (LEVEL2_PASSES, LEVEL2_PREGUARD_PASSES,
                          PipelineReport, factor_prologue,
@@ -76,15 +78,13 @@ class BitGenResult(MatchResult):
 
     #: aggregate over all CTAs
     metrics: KernelMetrics = field(default_factory=KernelMetrics)
-    #: per-CTA metrics, aligned with the engine's groups (on the
-    #: compiled backend, groups the prefilter skipped share one empty
-    #: read-only slot)
+    #: per-CTA metrics, aligned with the engine's groups (groups the
+    #: prefilter skipped share one empty read-only slot)
     cta_metrics: List[KernelMetrics] = field(default_factory=list)
     input_bytes: int = 0
     #: gate accounting when this match ran prefiltered
-    #: (:class:`~repro.core.prefilter.PrefilterReport`; for a batched
-    #: ``match_many`` every stream carries the one union-gated
-    #: evaluation), ``None`` for ungated runs
+    #: (:class:`~repro.core.prefilter.PrefilterReport` of the gate call
+    #: over this input), ``None`` for ungated runs
     prefilter: Optional[object] = None
 
     def report(self, stream_offset: int = 0) -> ScanReport:
@@ -197,7 +197,7 @@ class BitGenEngine(Engine):
                         config: ScanConfig) -> "BitGenEngine":
         """The warning-free compile path (internal call sites)."""
         begin = time.perf_counter()
-        level = config.effective_opt_level()
+        level = config.opt_level
         with obs.span("compile", category="compile",
                       patterns=len(patterns),
                       scheme=config.scheme.value, opt_level=level,
@@ -236,7 +236,7 @@ class BitGenEngine(Engine):
         is what incremental recompilation
         (:mod:`repro.core.incremental`) reuses across set diffs.
         """
-        level = config.effective_opt_level()
+        level = config.opt_level
         scheme = config.scheme
         geometry = config.geometry if config.geometry is not None \
             else DEFAULT_GEOMETRY
@@ -328,54 +328,110 @@ class BitGenEngine(Engine):
                 self._nodes, [c.group for c in self.groups])
         return self._prefilter_cache
 
-    def _prefilter_active(self, data: bytes,
-                          effective: ScanConfig) -> Optional[set]:
-        """Group indices that must execute on ``data``, or ``None``
-        for "all" (prefilter off, or no gate index available)."""
+    def gate(self, data: bytes, config: Optional[ScanConfig] = None
+             ) -> Tuple[Optional[List[int]], Optional[object]]:
+        """``(active group indices, gate report)`` for ``data``, or
+        ``(None, None)`` for "every group" (prefilter off, or no gate
+        index available).  Each call returns its own report, so
+        concurrent scans never read each other's;
+        ``last_prefilter`` keeps the most recent one."""
+        effective = config if config is not None else self.config
         if not effective.prefilter:
-            return None
+            return None, None
         index = self.prefilter_index()
         if index is None:
-            return None
+            return None, None
         active, report = index.active_groups(data,
                                              effective.prefilter_impl)
         self.last_prefilter = report
-        return set(active)
+        return active, report
 
     # -- matching -----------------------------------------------------------
 
     def match(self, data: bytes,
               config: Optional[ScanConfig] = None) -> BitGenResult:
-        effective = config if config is not None else self.config
-        active = self._prefilter_active(data, effective)
-        if self.backend == "compiled":
-            result = self._match_compiled(data, active=active)
-            if active is not None:
-                result.prefilter = self.last_prefilter
-            return result
-        with obs.span("exec", category="exec", backend="simulate",
-                      input_bytes=len(data), ctas=len(self.groups)):
-            result = BitGenResult(pattern_count=self.pattern_count,
-                                  input_bytes=len(data))
-            for index, compiled in enumerate(self.groups):
-                if active is not None and index not in active:
-                    # Skipped by the literal gate: every output of
-                    # this group is provably all-zero; an empty
-                    # metrics slot keeps cta_metrics aligned.
-                    result.cta_metrics.append(KernelMetrics())
-                    continue
-                with obs.span("exec.cta", category="exec", cta=index):
-                    execution = self._run_group(compiled, data)
-                result.cta_metrics.append(execution.metrics)
-                result.metrics.merge(execution.metrics)
-                for out, ends in execution.match_ends().items():
-                    result.ends[compiled.group.indices[int(out[1:])]] \
-                        = ends
-        _SCAN_BYTES.inc(len(data), backend="simulate")
-        _SCAN_MATCHES.inc(result.match_count())
-        if active is not None:
-            result.prefilter = self.last_prefilter
+        from ..backend import basis_environment
+
+        active, report = self.gate(data, config)
+        result = self.match_words(basis_environment(data), len(data),
+                                  active=active)
+        result.prefilter = report
         return result
+
+    def match_words(self, basis, input_bytes: int,
+                    active: Optional[Iterable[int]] = None
+                    ) -> BitGenResult:
+        """The one unit of execution: one input's ``(8, W)`` basis
+        words (padded to ``input_bytes + 1`` bits) and the groups to
+        run go in, per-group match ends and metrics come out.  Serial
+        scans and every shard of a sharded scan run through here; the
+        backend decides only how one group runs (:meth:`_run_groups`).
+        Bit-identical to :meth:`match` because the basis fully
+        determines every group's inputs.
+
+        ``active`` (group indices) restricts execution to the
+        prefilter-activated groups; skipped groups share one empty
+        metrics slot and keep their (provably all-zero) empty match
+        lists.  The work after dispatch is O(active groups)."""
+        indices = range(len(self.groups)) if active is None \
+            else sorted(active)
+        with obs.span("exec", category="exec", backend=self.backend,
+                      input_bytes=input_bytes, ctas=len(self.groups)):
+            result = BitGenResult(pattern_count=self.pattern_count,
+                                  input_bytes=input_bytes)
+            result.cta_metrics = [KernelMetrics()] * len(self.groups)
+            matches = self._run_groups(basis, input_bytes + 1, indices,
+                                       result)
+        _SCAN_BYTES.inc(input_bytes, backend=self.backend)
+        _SCAN_MATCHES.inc(matches)
+        return result
+
+    def _run_groups(self, basis, length: int, indices: Sequence[int],
+                    result: BitGenResult) -> int:
+        """Run each group in ``indices`` over one input's basis words,
+        recording it in ``result`` as soon as it ran; returns the match
+        count.  The one place the backend is decided: compiled groups
+        run their cached kernels through
+        :func:`~repro.backend.iter_dispatch`, simulated groups the
+        scheme's executor over the planes of the same basis words."""
+        matches = 0
+        if self.backend == "compiled":
+            from ..backend import estimate_metrics, iter_dispatch
+            from ..bitstream.npvector import NPBitVector
+
+            def read(words) -> List[int]:
+                return NPBitVector(words, length).match_ends()
+
+            programs = self._compiled_programs()
+            for position, (raw, stats) in iter_dispatch(
+                    [programs[i] for i in indices], basis, length):
+                index = indices[position]
+                metrics = estimate_metrics(self.groups[index].program,
+                                           self.geometry, length, stats)
+                matches += self._record(result, index, metrics, raw, read)
+            return matches
+        planes = words_environment(basis, length)
+        for index in indices:
+            with obs.span("exec.cta", category="exec", cta=index):
+                execution = self._run_group(self.groups[index], planes)
+            matches += self._record(result, index, execution.metrics,
+                                    execution.outputs, BitVector.match_ends)
+        return matches
+
+    def _record(self, result: BitGenResult, index: int,
+                metrics: KernelMetrics, outputs: Dict[str, object],
+                read) -> int:
+        """Store group ``index``'s metrics and the match ends ``read``
+        finds in each of its output streams; returns their count."""
+        result.cta_metrics[index] = metrics
+        result.metrics.merge(metrics)
+        patterns = self.groups[index].group.indices
+        matches = 0
+        for out, stream in outputs.items():
+            ends = read(stream)
+            result.ends[patterns[int(out[1:])]] = ends
+            matches += len(ends)
+        return matches
 
     def _compiled_programs(self) -> list:
         """Group programs lowered to cached compiled kernels
@@ -388,89 +444,25 @@ class BitGenEngine(Engine):
                 honour_guards=self.scheme.zero_skipping)
         return self._compiled_group_cache
 
-    def _match_compiled(self, data: bytes,
-                        active: Optional[set] = None) -> BitGenResult:
-        """Compiled CTA dispatch: one transpose, one conversion to
-        kernel ints, then every group's kernel in turn."""
-        from ..backend import basis_environment
-
-        return self.match_words(basis_environment(data), len(data),
-                                active=active)
-
-    def match_words(self, basis, input_bytes: int,
-                    active: Optional[set] = None) -> BitGenResult:
-        """Compiled match over an already-transposed ``(8, W)`` basis
-        word array (padded to ``input_bytes + 1`` bits).  This is the
-        zero-copy shard entry point: the parent transposes once into
-        shared memory and every group-shard worker executes on views
-        of the same words.  Bit-identical to :meth:`match` because the
-        basis fully determines the kernels' inputs.
-
-        ``active`` (a set of group indices) restricts execution to the
-        prefilter-activated groups; skipped groups share one empty
-        metrics slot and keep their (provably all-zero) empty match
-        lists.  The work after dispatch is O(active groups)."""
-        from ..backend import iter_dispatch
-
-        with obs.span("exec", category="exec", backend="compiled",
-                      input_bytes=input_bytes, ctas=len(self.groups)):
-            indices, programs = self._active_programs(active)
-            result, matches = self._compiled_result(
-                input_bytes, indices,
-                iter_dispatch(programs, basis, input_bytes + 1))
-        _SCAN_BYTES.inc(input_bytes, backend="compiled")
-        _SCAN_MATCHES.inc(matches)
-        return result
-
-    def _active_programs(self, active: Optional[set]):
-        """``(group indices, their compiled programs)`` to run: every
-        group, or the prefilter-activated ones in index order."""
-        programs = self._compiled_programs()
-        if active is None:
-            return range(len(self.groups)), programs
-        indices = sorted(active)
-        return indices, [programs[i] for i in indices]
-
-    def _compiled_result(self, input_bytes: int, indices, dispatched
-                         ) -> Tuple[BitGenResult, int]:
-        """One input's result, and its match count, from its dispatched
-        group kernels (``(position in indices, result)`` pairs, each
-        consumed as it arrives): the estimated metrics and match ends
-        of each group in ``indices``; the others keep an empty metrics
-        slot and no matches."""
-        from ..backend import estimate_metrics
-        from ..bitstream.npvector import NPBitVector
-
-        length = input_bytes + 1
-        result = BitGenResult(pattern_count=self.pattern_count,
-                              input_bytes=input_bytes)
-        result.cta_metrics = [KernelMetrics()] * len(self.groups)
-        matches = 0
-        for position, (raw, stats) in dispatched:
-            index = indices[position]
-            compiled = self.groups[index]
-            metrics = estimate_metrics(compiled.program, self.geometry,
-                                       length, stats)
-            result.cta_metrics[index] = metrics
-            result.metrics.merge(metrics)
-            for out in compiled.program.outputs:
-                ends = NPBitVector(raw[out], length).match_ends()
-                result.ends[compiled.group.indices[int(out[1:])]] = ends
-                matches += len(ends)
-        return result, matches
+    def build_kernels(self) -> None:
+        """Build every group's compiled kernel now (nothing to build on
+        the simulate backend).  With a disk cache attached, process
+        workers then load the artefacts instead of recompiling."""
+        if self.backend == "compiled":
+            self._compiled_programs()
 
     def _run_group(self, compiled: CompiledGroup,
-                   data: bytes) -> ExecutionResult:
+                   planes) -> ExecutionResult:
         if self.scheme is Scheme.BASE:
             executor = SequentialExecutor(self.geometry)
-            return executor.run(compiled.program, data)
+            return executor.run(compiled.program, planes)
         executor = InterleavedExecutor(
             geometry=self.geometry,
             barrier_plan=compiled.barrier_plan,
             honour_guards=self.scheme.zero_skipping,
             segmented=(self.scheme is Scheme.DTM_MINUS),
             loop_fallback=self.loop_fallback)
-        return executor.run(compiled.program, data)
+        return executor.run(compiled.program, planes)
 
     def match_many(self, streams: Sequence[bytes],
                    config: Optional[ScanConfig] = None
@@ -480,9 +472,8 @@ class BitGenEngine(Engine):
         Section 3.1: with multiple concurrent input streams the
         execution model becomes MIMD-style — every (group, stream) pair
         is an independent simulated CTA.  Results are returned per
-        stream, each carrying its own metrics.  With the compiled
-        backend, equal-length streams are transposed as one class
-        (:func:`~repro.backend.dispatch_streams`).
+        stream, each exactly what :meth:`match` of that stream returns
+        (gated on its own bytes when the prefilter is on).
 
         When the effective config requests ``workers > 1`` and the
         combined input clears ``min_parallel_bytes``, streams are
@@ -511,19 +502,15 @@ class BitGenEngine(Engine):
             else:
                 self.last_dispatch = "serial"
             _SCAN_DISPATCH.inc(dispatch=self.last_dispatch)
-            if self.backend == "compiled":
-                return self._match_many_compiled(streams,
-                                                 config=effective)
             return [self.match(stream, config=effective)
                     for stream in streams]
 
     def scan(self, data: bytes,
              config: Optional[ScanConfig] = None) -> ScanReport:
         """One input through the unified report API.  With
-        ``workers > 1`` the engine's CTA groups are sharded across a
-        worker pool (whole kernel-fingerprint buckets per shard, so
-        batched dispatch survives); the merged report is bit-identical
-        to a serial :meth:`match`.  Inputs below
+        ``workers > 1`` the engine's (prefilter-active) CTA groups are
+        sharded across a worker pool; the merged report is
+        bit-identical to a serial :meth:`match`.  Inputs below
         ``min_parallel_bytes`` skip the pool: the report's ``dispatch``
         field records ``"serial-small-input"``."""
         effective = config if config is not None else self.config
@@ -555,51 +542,6 @@ class BitGenEngine(Engine):
             # recorded (or adopted from workers) beneath it.
             report.trace = tracer.subtree(sp.span_id)
         return report
-
-    def _match_many_compiled(self, streams: Sequence[bytes],
-                             config: Optional[ScanConfig] = None
-                             ) -> List[BitGenResult]:
-        from ..backend import transpose_stream_classes
-
-        effective = config if config is not None else self.config
-        active = None
-        if effective.prefilter:
-            index = self.prefilter_index()
-            if index is not None:
-                # One gate evaluation over all streams: a group
-                # executes if its literals fired in *any* stream, so
-                # equal-length batching survives (per-stream results
-                # for over-activated groups are still all-zero).
-                actives, report = index.active_groups_many(
-                    streams, effective.prefilter_impl)
-                self.last_prefilter = report
-                active = set(actives)
-        results = self.match_many_words([len(s) for s in streams],
-                                        transpose_stream_classes(streams),
-                                        active=active)
-        if active is not None:
-            for result in results:
-                result.prefilter = self.last_prefilter
-        return results
-
-    def match_many_words(self, sizes: Sequence[int], classes,
-                         active: Optional[set] = None
-                         ) -> List[BitGenResult]:
-        """Compiled multi-stream match over pre-transposed length
-        classes (:func:`~repro.backend.transpose_stream_classes`
-        layout).  The transpose is paid once for all groups — and, on
-        the zero-copy shard path, once in the *parent*, with workers
-        executing on shared-memory views.  ``active`` restricts
-        execution to prefilter-activated group indices.  Each
-        stream's class table is computed once for all groups."""
-        from ..backend import iter_dispatch, stream_rows
-
-        indices, programs = self._active_programs(active)
-        results: List[Optional[BitGenResult]] = [None] * len(sizes)
-        for index, size, basis in stream_rows(classes):
-            results[index] = self._compiled_result(
-                size, indices, iter_dispatch(programs, basis, size + 1))[0]
-        return results  # type: ignore[return-value]
 
     def match_starts(self, data: bytes) -> BitGenResult:
         """All-match *start* positions per pattern.
@@ -648,7 +590,7 @@ class BitGenEngine(Engine):
     def optimization_stats(self) -> Dict[str, object]:
         """Per-pass optimizer accounting, merged over all groups: what
         each pass rewrote and removed at this engine's ``opt_level``."""
-        level = self.config.effective_opt_level()
+        level = self.config.opt_level
         merged: Dict[str, object] = {
             "opt_level": level,
             "instrs_before": 0,

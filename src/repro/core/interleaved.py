@@ -207,56 +207,31 @@ class _WindowRun:
 
 class InterleavedExecutor:
     """Block-interleaved executor implementing DTM (- SR / ZBS via a
-    pre-transformed program and barrier plan).
-
-    ``backend="compiled"`` swaps the per-window simulation for the
-    cached compiled kernel (:mod:`repro.backend`): output streams are
-    bit-identical, guards are honoured when requested, and the metrics
-    are compute-side *estimates* (:func:`~repro.backend.estimate_metrics`)
-    — schedule-fidelity counters (recomputation, barriers, shared
-    memory, window reruns) stay zero because no window schedule ran.
-    """
+    pre-transformed program and barrier plan)."""
 
     def __init__(self, geometry: CTAGeometry = DEFAULT_GEOMETRY,
                  barrier_plan: Optional[BarrierPlan] = None,
                  honour_guards: bool = False,
                  segmented: bool = False,
                  loop_fallback: bool = False,
-                 smem_capacity_bytes: int = 96 * 1024,
-                 backend: str = "simulate"):
-        if backend not in ("simulate", "compiled"):
-            raise ValueError(f"unknown backend {backend!r}")
+                 smem_capacity_bytes: int = 96 * 1024):
         self.geometry = geometry
         self.barrier_plan = barrier_plan
         self.honour_guards = honour_guards
         self.segmented = segmented
         self.loop_fallback = loop_fallback
         self.smem_capacity_bytes = smem_capacity_bytes
-        self.backend = backend
 
-    def _run_compiled(self, program: Program,
-                      data: bytes) -> ExecutionResult:
-        from ..backend import KernelInput, compile_program, estimate_metrics
-
-        compiled = compile_program(program,
-                                   honour_guards=self.honour_guards)
-        raw, stats = compiled.run(KernelInput.of(data))
-        length = len(data) + 1
-        outputs = {out: BitVector(raw[out], length)
-                   for out in program.outputs}
-        metrics = estimate_metrics(program, self.geometry, length, stats)
-        return ExecutionResult(outputs=outputs, metrics=metrics)
-
-    def run(self, program: Program, data: bytes) -> ExecutionResult:
-        from ..ir.interpreter import make_environment
-
-        if self.backend == "compiled":
-            return self._run_compiled(program, data)
+    def run(self, program: Program,
+            planes: Dict[str, BitVector]) -> ExecutionResult:
+        """Run ``program`` over one input's basis ``planes`` (``b0`` ..
+        ``b7``, each ``len(data) + 1`` bits: what
+        :func:`~repro.ir.interpreter.make_environment` builds)."""
         metrics = KernelMetrics()
         memory = GlobalMemory(metrics)
         smem = SharedMemory(metrics, capacity_bytes=self.smem_capacity_bytes)
-        full_env = make_environment(data)
-        length = len(data) + 1
+        full_env = dict(planes)
+        length = planes["b0"].length
 
         if self.segmented:
             runner = _SegmentedRunner(self, program, full_env, length,
@@ -280,7 +255,7 @@ class InterleavedExecutor:
                 memory = GlobalMemory(metrics)
                 smem = SharedMemory(metrics,
                                     capacity_bytes=self.smem_capacity_bytes)
-                full_env = make_environment(data)
+                full_env = dict(planes)
                 runner = _SegmentedRunner(self, program, full_env, length,
                                           metrics, memory, smem)
                 outputs = runner.run()

@@ -198,31 +198,14 @@ class PrefilterIndex:
         accounting report.  Always-on groups (gate ``None``) are always
         included; a gated group executes iff any of its literals
         occurred."""
-        return self._gate([data], impl, input_bytes=len(data))
-
-    def active_groups_many(self, streams: Sequence[bytes],
-                           impl: str = "screen"
-                           ) -> Tuple[List[int], PrefilterReport]:
-        """One gate evaluation for a batch of streams: a group is
-        active when its literals fired in *any* stream (the union
-        keeps batched equal-length dispatch intact; over-activated
-        groups still produce all-zero outputs on the streams that
-        didn't fire them)."""
-        return self._gate(streams, impl, streams=len(streams),
-                          input_bytes=sum(len(s) for s in streams))
-
-    def _gate(self, inputs: Sequence[bytes], impl: str, **attrs
-              ) -> Tuple[List[int], PrefilterReport]:
         with obs.span("prefilter", category="exec", impl=impl,
-                      **attrs) as sp:
-            fired: Set[int] = set()
-            for data in inputs:
-                fired |= self._fired(data, impl)
+                      input_bytes=len(data)) as sp:
+            fired = self._fired(data, impl)
             opened = {group for slot in fired for group in self._opens[slot]}
             active = sorted(opened.union(self._always_on))
             skipped = self.gated_groups - len(opened)
             report = PrefilterReport(
-                impl=impl, input_bytes=attrs["input_bytes"],
+                impl=impl, input_bytes=len(data),
                 groups=len(self.group_gates), gated=self.gated_groups,
                 active=len(active), skipped=skipped,
                 literals=len(self.literals), fired=len(fired))

@@ -21,7 +21,7 @@ from ..gpu.machine import DEFAULT_GEOMETRY, CTAGeometry
 from ..gpu.memory import GlobalMemory
 from ..gpu.metrics import KernelMetrics
 from ..ir.instructions import Instr, Op, SkipGuard, Stmt, WhileLoop
-from ..ir.interpreter import eval_instr, make_environment
+from ..ir.interpreter import eval_instr
 from ..ir.program import Program
 from .schemes import ExecutionResult
 
@@ -71,48 +71,21 @@ def split_passes(stmts: Sequence[Stmt]) -> List[Unit]:
     return units
 
 
-def _loop_ids(program: Program) -> Dict[int, int]:
-    """``id(WhileLoop)`` → the pre-order index the compiled kernel
-    reports trip counts under (codegen numbers loops at entry)."""
-    ids: Dict[int, int] = {}
-    counter = [0]
-
-    def visit(stmts: Sequence[Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, WhileLoop):
-                ids[id(stmt)] = counter[0]
-                counter[0] += 1
-                visit(stmt.body)
-
-    visit(program.statements)
-    return ids
-
-
 class SequentialExecutor:
-    """Executes a program in the baseline schedule.
+    """Executes a program in the baseline schedule."""
 
-    ``backend="compiled"`` computes the output streams with the cached
-    compiled kernel (:mod:`repro.backend`) and *replays* the baseline
-    schedule accounting arithmetically — pass structure, loads, stores
-    and barriers are static, and the kernel reports the while-loop trip
-    counts — so the metrics match the simulating path exactly while the
-    values never go through per-instruction dispatch.
-    """
-
-    def __init__(self, geometry: CTAGeometry = DEFAULT_GEOMETRY,
-                 backend: str = "simulate"):
-        if backend not in ("simulate", "compiled"):
-            raise ValueError(f"unknown backend {backend!r}")
+    def __init__(self, geometry: CTAGeometry = DEFAULT_GEOMETRY):
         self.geometry = geometry
-        self.backend = backend
 
-    def run(self, program: Program, data: bytes) -> ExecutionResult:
-        if self.backend == "compiled":
-            return self._run_compiled(program, data)
+    def run(self, program: Program,
+            planes: Dict[str, BitVector]) -> ExecutionResult:
+        """Run ``program`` over one input's basis ``planes`` (``b0`` ..
+        ``b7``, each ``len(data) + 1`` bits: what
+        :func:`~repro.ir.interpreter.make_environment` builds)."""
         metrics = KernelMetrics()
         memory = GlobalMemory(metrics)
-        env = make_environment(data)
-        length = len(data) + 1
+        env = dict(planes)
+        length = planes["b0"].length
         stream_bytes = -(-length // 8)
 
         materialised = self._materialised_vars(program)
@@ -123,67 +96,6 @@ class SequentialExecutor:
         outputs = {out: env[var] for out, var in program.outputs.items()}
         metrics.output_bits += length * len(outputs)
         return ExecutionResult(outputs=outputs, metrics=metrics)
-
-    # -- compiled fast path -------------------------------------------------
-
-    def _run_compiled(self, program: Program, data: bytes) -> ExecutionResult:
-        from ..backend import KernelInput, compile_program
-
-        # The baseline drops guards, so compile without honouring them.
-        compiled = compile_program(program, honour_guards=False)
-        raw, stats = compiled.run(KernelInput.of(data))
-        length = len(data) + 1
-
-        metrics = KernelMetrics()
-        memory = GlobalMemory(metrics)
-        stream_bytes = -(-length // 8)
-        materialised = self._materialised_vars(program)
-        self._count_static_loops(program.statements, metrics)
-        counts = {loop_id: list(trips)
-                  for loop_id, trips in stats.counts_by_loop().items()}
-        self._replay(program.statements, _loop_ids(program), counts,
-                     length, stream_bytes, materialised, metrics, memory)
-
-        outputs = {out: BitVector(raw[out], length)
-                   for out in program.outputs}
-        metrics.output_bits += length * len(outputs)
-        return ExecutionResult(outputs=outputs, metrics=metrics)
-
-    def _replay(self, stmts, loop_ids, counts, length, stream_bytes,
-                materialised, metrics, memory) -> None:
-        """Mirror :meth:`_exec`'s accounting without touching values."""
-        words = self.geometry.words(length)
-        for unit in split_passes(stmts):
-            if isinstance(unit, WhileLoop):
-                trips = counts[loop_ids[id(unit)]]
-                iterations = trips.pop(0) if trips else 0
-                for _ in range(iterations + 1):
-                    memory.read(stream_bytes)       # popcount reduction
-                    metrics.thread_word_ops += words
-                    metrics.barriers += 1
-                metrics.loop_iterations += iterations
-                for _ in range(iterations):
-                    self._replay(unit.body, loop_ids, counts, length,
-                                 stream_bytes, materialised, metrics,
-                                 memory)
-                continue
-            loaded: Set[str] = set()
-            defined: Set[str] = set()
-            for instr in unit.instrs:
-                for arg in instr.args:
-                    if arg not in defined and arg not in loaded:
-                        loaded.add(arg)
-                        memory.read(stream_bytes)
-                if unit.is_shift:
-                    memory.read(self.geometry.block_bytes)
-                metrics.thread_word_ops += words
-                defined.add(instr.dest)
-            for var in defined:
-                if var in materialised:
-                    memory.write(stream_bytes)
-                    memory.allocate_stream(var, stream_bytes)
-            metrics.blocks_processed += self.geometry.block_count(length)
-            metrics.barriers += 1
 
     # -- schedule analysis -------------------------------------------------
 

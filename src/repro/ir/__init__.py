@@ -8,8 +8,7 @@ from .instructions import (CONST_END, CONST_ONES, CONST_START, CONST_TEXT,
 from .interpreter import (ExecutionError, Interpreter, const_stream,
                           make_environment, match_positions, run_regexes)
 from .lower import LoweringError, lower_group, lower_regex
-from .optimize import optimize_program
-from .passes import (PassPipeline, PipelineReport, coalesce_shift_chains,
+from .passes import (PassPipeline, PipelineReport,
                      eliminate_common_subexpressions, optimize_pipeline,
                      simplify_algebraic)
 from .program import BASIS_VARS, Program, ProgramBuilder
@@ -19,9 +18,9 @@ __all__ = [
     "CONST_TEXT", "CONST_ZERO", "ExecutionError", "Instr", "Interpreter",
     "LoweringError", "Op", "PassPipeline", "PipelineReport", "Program",
     "ProgramBuilder", "RegionDFG", "SkipGuard", "Stmt", "WhileLoop",
-    "coalesce_shift_chains", "const_stream", "count_ops",
+    "const_stream", "count_ops",
     "eliminate_common_subexpressions", "iter_instrs", "lower_group",
     "lower_regex", "make_environment", "match_positions",
-    "optimize_pipeline", "optimize_program", "run_regexes",
+    "optimize_pipeline", "run_regexes",
     "simplify_algebraic", "split_regions",
 ]

@@ -37,6 +37,17 @@ def make_environment(data: bytes) -> Dict[str, BitVector]:
     return env
 
 
+def words_environment(basis, length: int) -> Dict[str, BitVector]:
+    """:func:`make_environment`'s result read from an ``(8, W)`` basis
+    word array padded to ``length`` bits with zeros (the layout
+    :func:`repro.backend.basis_environment` produces), so one transpose
+    of an input serves the simulating executors and the compiled
+    kernels alike."""
+    return {f"b{k}": BitVector(int.from_bytes(basis[k].tobytes(), "little"),
+                               length)
+            for k in range(8)}
+
+
 def const_stream(kind: str, length: int) -> BitVector:
     """Materialise one of the constant streams for total length ``length``
     (``length`` = text length + 1, the cursor stream length)."""
@@ -109,51 +120,25 @@ def _match_cc_direct(instr: Instr, env: Dict[str, BitVector],
 
 
 class Interpreter:
-    """Executes programs over full-length streams.
-
-    ``backend`` selects the execution substrate: ``"bigint"`` (default)
-    interprets statement-by-statement over Python big integers;
-    ``"compiled"`` lowers the program to a cached compiled kernel
-    (:mod:`repro.backend`) — bit-identical outputs, no per-instruction
-    dispatch.
-    """
+    """Executes programs over full-length streams, statement by
+    statement over Python big integers — the reference every execution
+    substrate is checked against."""
 
     def __init__(self, honour_guards: bool = False,
-                 max_loop_iterations: Optional[int] = None,
-                 backend: str = "bigint"):
-        if backend not in ("bigint", "compiled"):
-            raise ValueError(f"unknown backend {backend!r}")
+                 max_loop_iterations: Optional[int] = None):
         self.honour_guards = honour_guards
         self.max_loop_iterations = max_loop_iterations
-        self.backend = backend
         self.loop_iteration_counts: List[int] = []
         self.instructions_executed = 0
 
     def run(self, program: Program, data: bytes) -> Dict[str, BitVector]:
         """Run ``program`` on ``data``; returns output streams by name."""
-        if self.backend == "compiled":
-            return self._run_compiled(program, data)
         env = make_environment(data)
         length = len(data) + 1
         self.loop_iteration_counts = []
         self.instructions_executed = 0
         self._exec_block(program.statements, env, length)
         return {out: env[var] for out, var in program.outputs.items()}
-
-    def _run_compiled(self, program: Program,
-                      data: bytes) -> Dict[str, BitVector]:
-        from ..backend import KernelInput, compile_program
-
-        compiled = compile_program(program,
-                                   honour_guards=self.honour_guards)
-        outputs, stats = compiled.run(KernelInput.of(data))
-        self.loop_iteration_counts = stats.iteration_counts()
-        self.instructions_executed = program.instruction_count()
-        # Unmasked: BitVector rejects any bit at or past the stream end,
-        # so a kernel that leaks tail bits fails here.
-        length = len(data) + 1
-        return {name: BitVector(value, length)
-                for name, value in outputs.items()}
 
     def _exec_block(self, stmts: Sequence[Stmt], env: Dict[str, BitVector],
                     length: int) -> None:

@@ -2,14 +2,13 @@
 elimination.
 
 Lowering produces some COPY chains (fixpoint-loop plumbing) and, after
-empty-match stripping, occasional unused subcomputations.  These passes
-shrink programs before the BitGen-specific transformations run; they
-are semantics-preserving and conservative around loop-carried
-(reassigned) variables, whose identity is load-bearing.
+empty-match stripping, occasional unused subcomputations.  These
+helpers shrink programs before the BitGen-specific transformations
+run; they are semantics-preserving and conservative around
+loop-carried (reassigned) variables, whose identity is load-bearing.
 
-``optimize_program`` is the classic (opt_level 1) cleanup.  The full
-pipeline — CSE, algebraic simplification, shift coalescing, plus these
-cleanups run to a joint fixpoint — lives in :mod:`repro.ir.passes`.
+:mod:`repro.ir.passes` runs them — alone at opt_level 1, beside CSE
+and algebraic simplification at opt_level 2 — to a joint fixpoint.
 """
 
 from __future__ import annotations
@@ -17,26 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .instructions import Instr, Op, SkipGuard, Stmt, WhileLoop
-from .program import Program
-
-_MAX_ROUNDS = 16
-
-
-def optimize_program(program: Program) -> Program:
-    """Copy-propagate and eliminate dead code to a fixpoint."""
-    statements = program.statements
-    for _ in range(_MAX_ROUNDS):
-        mutable = _mutable_vars(statements)
-        statements, copies_changed = _propagate_copies(
-            statements, mutable, set(program.outputs.values()))
-        statements, dce_changed = _eliminate_dead(
-            statements, set(program.outputs.values()))
-        if not (copies_changed or dce_changed):
-            break
-    result = Program(name=program.name, statements=statements,
-                     outputs=dict(program.outputs), inputs=program.inputs)
-    result.validate()
-    return result
 
 
 def _mutable_vars(stmts: Sequence[Stmt]) -> Set[str]:

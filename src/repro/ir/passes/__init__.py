@@ -1,11 +1,11 @@
 """Structural optimization passes over bitstream programs.
 
-:mod:`repro.ir.optimize` holds the opt_level-1 cleanups (copy
-propagation + DCE).  This package adds the opt_level-2 pipeline:
+:mod:`repro.ir.optimize` holds the cleanup helpers (copy propagation
++ DCE) the passes share.  This package runs them at opt_level 1 and
+adds the opt_level-2 pipeline:
 
 * :mod:`repro.ir.passes.cse` — common-subexpression elimination
 * :mod:`repro.ir.passes.algebraic` — constant folding / simplification
-* :mod:`repro.ir.passes.shift_coalesce` — SHIFT-chain merging
 * :mod:`repro.ir.passes.pipeline` — ``PassPipeline`` running all of the
   above plus the cleanups to a joint fixpoint, with per-pass deltas
   collected in a ``PipelineReport``.
@@ -17,7 +17,6 @@ from .factor import factor_prologue
 from .pipeline import (LEVEL1_PASSES, LEVEL2_PASSES,
                        LEVEL2_PREGUARD_PASSES, PassDelta, PassPipeline,
                        PipelineReport, optimize_pipeline)
-from .shift_coalesce import coalesce_shift_chains
 
 __all__ = [
     "LEVEL1_PASSES",
@@ -26,7 +25,6 @@ __all__ = [
     "PassDelta",
     "PassPipeline",
     "PipelineReport",
-    "coalesce_shift_chains",
     "eliminate_common_subexpressions",
     "factor_prologue",
     "optimize_pipeline",

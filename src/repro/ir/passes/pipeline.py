@@ -4,17 +4,17 @@
 engine uses:
 
 * ``level 0`` — identity (no pipeline, empty report);
-* ``level 1`` — the classic cleanups (copy propagation + DCE), i.e.
-  what :func:`repro.ir.optimize.optimize_program` does;
+* ``level 1`` — the classic cleanups (copy propagation + DCE);
 * ``level 2`` — the full pipeline: copy propagation → CSE → algebraic
-  simplification → shift coalescing → DCE, rounds repeated until no
-  pass reports a change.
+  simplification → DCE, rounds repeated until no pass reports a
+  change.  (SHIFT chains are merged by Shift Rebalancing,
+  :mod:`repro.core.rebalance`, for the schemes that rebalance.)
 
 Pass ordering inside a round matters for convergence speed, not
 correctness: copy propagation first exposes structural twins to CSE,
 CSE's COPYs feed the next round's propagation, algebraic folds mint
-constants that cascade, coalescing runs on propagated operands, and DCE
-sweeps the corpses so later rounds scan less.  Any order reaches the
+constants that cascade, and DCE sweeps the corpses so later rounds
+scan less.  Any order reaches the
 same fixpoint because every pass is semantics-preserving on its own.
 
 The :class:`PipelineReport` records per-pass statement rewrites and
@@ -34,7 +34,6 @@ from ..optimize import _eliminate_dead, _mutable_vars, _propagate_copies
 from ..program import Program
 from .algebraic import simplify_algebraic
 from .cse import eliminate_common_subexpressions
-from .shift_coalesce import coalesce_shift_chains
 
 _MAX_ROUNDS = 16
 
@@ -88,7 +87,6 @@ LEVEL2_PASSES: Tuple[Tuple[str, Pass], ...] = (
     ("copy_prop", copy_propagation),
     ("cse", eliminate_common_subexpressions),
     ("algebraic", simplify_algebraic),
-    ("shift_coalesce", coalesce_shift_chains),
     ("dce", dead_code_elimination),
 )
 

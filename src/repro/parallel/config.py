@@ -64,10 +64,8 @@ class ScanConfig:
     merge_size: int = 8
     interval_size: int = 8
     loop_fallback: bool = False
-    optimize: bool = True
     #: optimizer pipeline level: 0 = off, 1 = copy-prop + DCE,
-    #: 2 = full pipeline (CSE, algebraic folding, shift coalescing).
-    #: Gated behind ``optimize`` — ``optimize=False`` forces level 0.
+    #: 2 = full pipeline (CSE, algebraic folding).
     opt_level: int = 2
     grouping: str = "balanced"
     backend: str = "simulate"
@@ -108,9 +106,9 @@ class ScanConfig:
     #: by the resolved value, so two configs differing only here get
     #: separate pools.
     start_method: Optional[str] = None
-    #: ship shard payloads (input bytes, pre-transposed word arrays)
-    #: through ``multiprocessing.shared_memory`` instead of pickling
-    #: them into process workers.  Ignored for thread/serial executors,
+    #: ship shard payloads (each input's basis words, transposed by
+    #: the parent) through ``multiprocessing.shared_memory`` instead of
+    #: pickling them into process workers.  Ignored for thread/serial executors,
     #: which already share the parent's memory.
     shared_memory: bool = True
     worker_timeout: Optional[float] = None
@@ -225,17 +223,12 @@ class ScanConfig:
             return env
         return default_start_method()
 
-    def effective_opt_level(self) -> int:
-        """The optimizer level actually applied: ``opt_level`` gated
-        behind the ``optimize`` master switch."""
-        return self.opt_level if self.optimize else 0
-
     def compile_key(self) -> Tuple:
         """The fields that change what ``BitGenEngine.compile`` builds
         (dispatch knobs excluded) — a cache key for compiled engines."""
         return (self.scheme, self.geometry, self.cta_count,
                 self.merge_size, self.interval_size, self.loop_fallback,
-                self.effective_opt_level(), self.grouping, self.backend,
+                self.opt_level, self.grouping, self.backend,
                 self.factor)
 
 

@@ -504,7 +504,7 @@ class WorkerPool:
 
     def _acquire(self, payload_count: int):
         """``(executor, persistent?)`` for one dispatch.  Active chaos
-        (a ChaosPlan or the legacy env hook) bypasses the warm
+        (an installed ChaosPlan or ``$REPRO_CHAOS``) bypasses the warm
         registry: env-based injection only reaches workers forked
         *after* the mutation, and injected faults would constantly
         poison (and discard) warm pools anyway."""

@@ -4,49 +4,52 @@
 single-input multi-CTA matches, multi-chunk streaming sessions, and
 :meth:`Harness.run_all` grids out across a :class:`WorkerPool`, while
 keeping every result **bit-identical to serial execution** — match
-positions and aggregated metrics both.
+positions, aggregated metrics and the prefilter's gate report alike.
 
-The identity guarantee comes from the shard planner: shards are built
-from the same batching units the serial compiled backend uses, so the
-kernel calls inside a shard are literally the calls serial execution
-would have made.
+The identity guarantee comes from running the serial unit of work in
+every shard: :meth:`~repro.core.engine.BitGenEngine.match_words` — one
+input's ``(8, W)`` basis words plus the groups to run on it — is what a
+serial scan executes too, and the paper's unit (one group's fused
+program over one input, Section 3.1) never spans shards.
 
-* **Stream sharding** distributes whole *length classes* — the unit
-  :func:`~repro.backend.executor.dispatch_streams` transposes together
-  and a shard's shared-memory payload lays out as one array.
-* **Group sharding** distributes whole *kernel-fingerprint buckets* —
-  the units :func:`~repro.backend.executor.dispatch_words` runs under
-  one ``exec.batch`` span.
+* **Stream sharding** distributes single streams.  The parent gates
+  each stream once and transposes it once; each shard carries its
+  streams' basis words and active groups.
+* **Group sharding** distributes single groups, planned over the
+  prefilter-active groups only.  The parent gates and transposes the
+  input once; every group shard reads the same words.
 
-Process dispatch is **zero-copy**: instead of pickling word arrays and
-input batches into each worker, the parent packs them into one
-:class:`~repro.parallel.shm.SharedArena` segment per dispatch and
-ships only descriptors.  For the compiled backend the parent also
-*pre-transposes* every shard's length classes into the arena — paying
-the transpose once for all kernel groups — and shard preparation runs
-interleaved with execution (``WorkerPool.map_shards(prepare=...)``):
-shard N transposes in the parent while shard N-1 executes in a
-worker.  The arena is ref-counted and unlinked on every exit path
-(clean, worker fault, timeout, exception).
+Shards never gate, so each result carries the report of the parent's
+gate call over its own input.
+
+Process dispatch is **zero-copy**: instead of pickling word arrays into
+each worker, the parent transposes straight into one
+:class:`~repro.parallel.shm.SharedArena` segment per dispatch and ships
+only descriptors.  Stream-shard preparation (gate, transpose, pack)
+runs interleaved with execution (``WorkerPool.map_shards(prepare=...)``):
+shard N is prepared in the parent while shard N-1 executes in a worker.
+The arena is ref-counted and unlinked on every exit path (clean, worker
+fault, timeout, exception).
 
 Degradation: any worker fault re-runs that shard in-process through
-the identical serial path (see :class:`~repro.parallel.pool.WorkerPool`)
+the identical shard task (see :class:`~repro.parallel.pool.WorkerPool`)
 and is recorded as a :class:`ShardFault`; a parallel scan therefore
 never fails, and never returns different results, because of the pool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..backend.runtime import basis_environment, word_count
 from ..resilience.deadline import Deadline
 from .config import ScanConfig
 from .pool import WorkerPool
 from .report import ScanReport, ShardFault
 from .shm import SharedArena
 from . import worker as worker_mod
-from .worker import GroupShardSpec, StreamShardSpec
+from .worker import ShardInput
 
 _SHARDS_DISPATCHED = obs.registry().counter(
     "repro_parallel_shards_total",
@@ -76,37 +79,31 @@ def _distribute(units: Sequence[Tuple[List[int], int]],
     return packed
 
 
-def plan_stream_shards(streams: Sequence[bytes], workers: int,
-                       preserve_batches: bool) -> List[List[int]]:
-    """Shard stream indices.  With ``preserve_batches`` (the compiled
-    backend), each equal-length class stays whole inside one shard."""
-    if preserve_batches:
-        classes: Dict[int, List[int]] = {}
-        for index, stream in enumerate(streams):
-            classes.setdefault(len(stream), []).append(index)
-        units = [(members, max(1, size) * len(members))
-                 for size, members in sorted(classes.items())]
-    else:
-        units = [([index], max(1, len(stream)))
-                 for index, stream in enumerate(streams)]
+def plan_stream_shards(streams: Sequence[bytes],
+                       workers: int) -> List[List[int]]:
+    """Shard stream indices, one unit per stream weighted by its
+    length."""
+    units = [([index], max(1, len(stream)))
+             for index, stream in enumerate(streams)]
     return _distribute(units, workers)
 
 
-def plan_group_shards(engine, workers: int) -> List[List[int]]:
-    """Shard group (CTA) indices.  For the compiled backend each
-    kernel-fingerprint bucket stays whole inside one shard."""
-    if engine.backend == "compiled":
-        buckets: Dict[str, List[int]] = {}
-        for index, compiled in enumerate(engine._compiled_programs()):
-            buckets.setdefault(compiled.kernel.fingerprint,
-                               []).append(index)
-        units = [(members, sum(len(engine.groups[i].group) or 1
-                               for i in members))
-                 for members in buckets.values()]
-    else:
-        units = [([index], len(compiled.group) or 1)
-                 for index, compiled in enumerate(engine.groups)]
+def plan_group_shards(engine, workers: int,
+                      groups: Optional[Sequence[int]] = None
+                      ) -> List[List[int]]:
+    """Shard group (CTA) indices — every group, or the
+    prefilter-active ``groups`` — one unit per group weighted by its
+    pattern count."""
+    if groups is None:
+        groups = range(len(engine.groups))
+    units = [([index], len(engine.groups[index].group) or 1)
+             for index in groups]
     return _distribute(units, workers)
+
+
+def _words_nbytes(input_bytes: int) -> int:
+    """Arena bytes one input's basis words take, alignment included."""
+    return 8 * word_count(input_bytes + 1) * 8 + 64
 
 
 # -- the dispatcher ----------------------------------------------------------
@@ -136,24 +133,34 @@ class ParallelScanner:
         except OSError:
             return None
         worker_mod.attach_disk_cache(cache_dir)
-        if self.engine.backend == "compiled":
-            # Parent-side compilation now writes the artefacts the
-            # workers will load instead of recompiling.
-            self.engine._compiled_programs()
+        # Parent-side compilation now writes the artefacts the
+        # workers will load instead of recompiling.
+        self.engine.build_kernels()
         return cache_dir
 
-    def _zero_copy(self) -> bool:
-        """Whether shard data should ride in shared memory: only
-        process workers live in another address space."""
-        return (self.config.executor == "process"
-                and self.config.shared_memory)
+    def _arena(self, nbytes: int, tag: str) -> Optional[SharedArena]:
+        """A shared-memory arena for the dispatch's basis words, or
+        ``None`` when the words ride inline: only process workers live
+        in another address space."""
+        if self.config.executor == "process" and self.config.shared_memory:
+            return SharedArena(nbytes, tag=tag)
+        return None
+
+    @staticmethod
+    def _input(arena: Optional[SharedArena], data: bytes,
+               active: Optional[Sequence[int]] = None) -> ShardInput:
+        """Transpose ``data`` once — into ``arena`` when there is one —
+        as a shard carries it."""
+        words = basis_environment(data)
+        if arena is not None:
+            words = arena.put_array(words)
+        return ShardInput(len(data), words,
+                          None if active is None else tuple(active))
 
     # -- many streams, whole engine per shard -----------------------------
 
     def match_many(self, streams: Sequence[bytes]) -> List:
-        compiled = self.engine.backend == "compiled"
-        plan = plan_stream_shards(streams, self.config.workers,
-                                  preserve_batches=compiled)
+        plan = plan_stream_shards(streams, self.config.workers)
         if len(plan) <= 1:
             self.faults = []
             return self.engine.match_many(streams,
@@ -163,174 +170,86 @@ class ParallelScanner:
         # ScanConfig.deadline_s bounds the whole dispatch, not just
         # the worker waits.
         deadline = Deadline.start(self.config.deadline_s)
-        zero_copy = self._zero_copy()
-        arena = self._stream_arena(streams, plan, compiled) \
-            if zero_copy else None
+        arena = self._arena(sum(_words_nbytes(len(s)) for s in streams),
+                            tag="streams")
+        reports: List = [None] * len(streams)
+
+        def prepare(shard: List[int]):
+            """The overlap stage: gate and transpose one shard's
+            streams in the parent while earlier shards execute."""
+            inputs = []
+            with obs.span("shard.prepare", category="scan",
+                          streams=len(shard)):
+                for index in shard:
+                    active, reports[index] = self.engine.gate(
+                        streams[index], self.config)
+                    inputs.append(self._input(arena, streams[index],
+                                              active))
+            return (self.engine, tuple(inputs), self._cache_dir)
+
         try:
             with obs.span("scan.parallel", category="scan",
                           kind="stream", shards=len(plan),
                           workers=self.config.workers,
                           executor=self.config.executor,
-                          zero_copy=zero_copy):
-                if arena is not None:
-                    prepare = self._stream_prepare(streams, arena,
-                                                   compiled)
-                    shard_results, self.faults = self.pool.map_shards(
-                        worker_mod.scan_streams, plan,
-                        serial_fn=self._serial_streams,
-                        prepare=prepare, deadline=deadline)
-                else:
-                    payloads = [(self.engine,
-                                 [streams[i] for i in shard],
-                                 self._cache_dir) for shard in plan]
-                    shard_results, self.faults = self.pool.map_shards(
-                        worker_mod.scan_streams, payloads,
-                        serial_fn=self._serial_streams,
-                        deadline=deadline)
+                          zero_copy=arena is not None):
+                shard_results, self.faults = self.pool.map_shards(
+                    worker_mod.scan_streams, plan, prepare=prepare,
+                    deadline=deadline)
         finally:
             if arena is not None:
                 arena.release()
         results = [None] * len(streams)
         for shard, shard_result in zip(plan, shard_results):
             for index, result in zip(shard, shard_result):
+                result.prefilter = reports[index]
                 results[index] = result
         return results
-
-    def _stream_arena(self, streams, plan, compiled: bool
-                      ) -> SharedArena:
-        """One arena sized for every shard's payload, up front — the
-        per-shard prepare stage then bump-allocates into it."""
-        from ..backend.runtime import word_count
-
-        capacity = 0
-        for shard in plan:
-            if compiled:
-                sizes: Dict[int, int] = {}
-                for i in shard:
-                    size = len(streams[i])
-                    sizes[size] = sizes.get(size, 0) + 1
-                for size, k in sizes.items():
-                    capacity += 8 * k * word_count(size + 1) * 8 + 64
-            else:
-                for i in shard:
-                    capacity += len(streams[i]) + 64
-        return SharedArena(capacity, tag="streams")
-
-    def _stream_prepare(self, streams, arena: SharedArena,
-                        compiled: bool):
-        """The overlap stage: pack (and for the compiled backend,
-        pre-transpose) one shard's payload into the arena.  Called by
-        the pool's submission loop, so shard N packs while shard N-1
-        already executes."""
-        from ..backend.executor import stream_length_classes
-        from ..backend.runtime import basis_environment, word_count
-
-        def prepare(shard: List[int]):
-            shard_streams = [streams[i] for i in shard]
-            with obs.span("shard.prepare", category="scan",
-                          streams=len(shard_streams),
-                          compiled=compiled):
-                sizes = tuple(len(s) for s in shard_streams)
-                if not compiled:
-                    spec = StreamShardSpec(
-                        sizes=sizes,
-                        raw=tuple(arena.put_bytes(s)
-                                  for s in shard_streams))
-                    return (self.engine, spec, self._cache_dir)
-                classes = []
-                for size, members in \
-                        stream_length_classes(shard_streams):
-                    words = word_count(size + 1)
-                    if len(members) == 1:
-                        view, ref = arena.alloc_array((8, words))
-                        view[...] = basis_environment(
-                            shard_streams[members[0]])
-                    else:
-                        view, ref = arena.alloc_array(
-                            (8, len(members), words))
-                        for row, member in enumerate(members):
-                            view[:, row, :] = basis_environment(
-                                shard_streams[member])
-                    classes.append((size, tuple(members), ref))
-                spec = StreamShardSpec(sizes=sizes,
-                                       classes=tuple(classes))
-            return (self.engine, spec, self._cache_dir)
-
-        return prepare
-
-    def _serial_streams(self, payload) -> List:
-        """In-process recovery: identical maths whether the shard's
-        payload is inline streams or shared-memory descriptors (the
-        parent resolves its own arena without re-attaching)."""
-        engine, shard, _ = payload
-        if isinstance(shard, StreamShardSpec):
-            if shard.classes is not None:
-                return engine.match_many_words(list(shard.sizes),
-                                               shard.resolve_classes())
-            shard = shard.resolve_streams()
-        return engine.match_many(shard, config=self.config.serial())
 
     # -- one stream, groups sharded ---------------------------------------
 
     def match(self, data: bytes):
         """Group-sharded single-input match; merged result is
-        bit-identical (positions, per-CTA and aggregate metrics) to
-        ``engine.match(data)``."""
-        plan = plan_group_shards(self.engine, self.config.workers)
+        bit-identical (positions, per-CTA and aggregate metrics, gate
+        report) to ``engine.match(data)``."""
+        deadline = Deadline.start(self.config.deadline_s)
+        active, report = self.engine.gate(data, self.config)
+        plan = plan_group_shards(self.engine, self.config.workers, active)
         if len(plan) <= 1:
             self.faults = []
-            return self.engine.match(data)
+            result = self.engine.match_words(basis_environment(data),
+                                             len(data), active=active)
+            result.prefilter = report
+            return result
         _SHARDS_DISPATCHED.inc(len(plan), kind="group")
-        deadline = Deadline.start(self.config.deadline_s)
-        compiled = self.engine.backend == "compiled"
-        zero_copy = self._zero_copy() and compiled
-        arena = None
-        payload_data: object = data
-        if zero_copy:
-            from ..backend.runtime import basis_environment, word_count
-
-            words = word_count(len(data) + 1)
-            arena = SharedArena(8 * words * 8 + 64, tag="groups")
-            # One transpose, shared by every group shard — serial
-            # transposes once too, so the parallel path no longer
-            # multiplies that cost by the worker count.
-            view, ref = arena.alloc_array((8, words))
-            view[...] = basis_environment(data)
-            payload_data = GroupShardSpec(len(data), ref)
+        arena = self._arena(_words_nbytes(len(data)), tag="groups")
         try:
+            # One transpose, shared by every group shard, as serial
+            # execution shares it among its groups.
+            shared = self._input(arena, data)
             with obs.span("scan.parallel", category="scan",
                           kind="group", shards=len(plan),
                           workers=self.config.workers,
                           executor=self.config.executor,
-                          zero_copy=zero_copy):
-                payloads = [(self.engine, shard, payload_data,
-                             self._cache_dir) for shard in plan]
+                          zero_copy=arena is not None):
+                payloads = [(self.engine, shard, shared, self._cache_dir)
+                            for shard in plan]
                 shard_results, self.faults = self.pool.map_shards(
-                    worker_mod.scan_groups, payloads,
-                    serial_fn=self._serial_groups, deadline=deadline)
+                    worker_mod.scan_groups, payloads, deadline=deadline)
         finally:
             if arena is not None:
                 arena.release()
-        return self._merge_group_results(shard_results, len(data))
-
-    def _serial_groups(self, payload) -> Tuple:
-        from ..core.engine import BitGenEngine
-
-        engine, group_indices, data, _ = payload
-        sub = BitGenEngine([engine.groups[i] for i in group_indices],
-                           engine.pattern_count,
-                           config=self.config.serial())
-        if isinstance(data, GroupShardSpec):
-            return group_indices, sub.match_words(data.basis.resolve(),
-                                                  data.input_bytes)
-        return group_indices, sub.match(data)
+        result = self._merge_group_results(shard_results, len(data))
+        result.prefilter = report
+        return result
 
     def _merge_group_results(self, shard_results, input_bytes: int):
         from ..core.engine import BitGenResult
+        from ..gpu.metrics import KernelMetrics
 
         merged = BitGenResult(pattern_count=self.engine.pattern_count,
                               input_bytes=input_bytes)
-        merged.cta_metrics = [None] * len(self.engine.groups)
+        merged.cta_metrics = [KernelMetrics()] * len(self.engine.groups)
         for group_indices, result in shard_results:
             for row, group_index in enumerate(group_indices):
                 merged.cta_metrics[group_index] = \
@@ -348,7 +267,9 @@ class ParallelScanner:
     def sessions(self, chunk_lists: Sequence[Sequence[bytes]]
                  ) -> List[ScanReport]:
         """Run one full multi-chunk streaming session per logical
-        stream, sessions fanned across the pool."""
+        stream, sessions fanned across the pool.  Each session feeds
+        its whole stream, gating every window as a serial session
+        does."""
         _SHARDS_DISPATCHED.inc(len(chunk_lists), kind="session")
         deadline = Deadline.start(self.config.deadline_s)
         with obs.span("scan.parallel", category="scan",

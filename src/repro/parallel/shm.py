@@ -1,15 +1,13 @@
 """Zero-copy shard payloads over ``multiprocessing.shared_memory``.
 
-Process workers used to receive their shard *data* — whole word arrays
-and input byte batches — pickled through the executor's pipe, which
-``BENCH_parallel.json`` showed costing more than the scan itself.  This
-module moves the bulk payload into POSIX shared memory: the parent
-packs raw stream bytes and pre-transposed basis word arrays into one
-:class:`SharedArena` segment per dispatch, and shard payloads carry
-only tiny ``(segment, offset, dtype, shape)`` descriptors
-(:class:`ShmBytes` / :class:`ShmArray`).  Workers map the segment once
-(a per-process attach memo) and build NumPy views straight over the
-shared pages — no serialisation, no copy.
+Pickling shard *data* through the executor's pipe into process workers
+costs more than the scan itself (``BENCH_parallel.json``).  This module
+moves the bulk payload into POSIX shared memory: the parent transposes
+each input's basis words straight into one :class:`SharedArena`
+segment per dispatch, and shard payloads carry only tiny ``(segment,
+offset, dtype, shape)`` descriptors (:class:`ShmArray`).  Workers map
+the segment once (a per-process attach memo) and build NumPy views
+straight over the shared pages — no serialisation, no copy.
 
 Lifecycle contract (the part that must never leak):
 
@@ -97,20 +95,6 @@ def _reap_zombies() -> None:
 
 
 @dataclass(frozen=True)
-class ShmBytes:
-    """A raw byte range inside a shared segment."""
-
-    segment: str
-    offset: int
-    nbytes: int
-
-    def resolve(self) -> memoryview:
-        """A zero-copy view of the bytes (parent- or worker-side)."""
-        buf = attach(self.segment).buf
-        return buf[self.offset:self.offset + self.nbytes]
-
-
-@dataclass(frozen=True)
 class ShmArray:
     """A NumPy array inside a shared segment."""
 
@@ -170,14 +154,6 @@ class SharedArena:
         self.used = start + nbytes
         _BYTES_TOTAL.inc(nbytes)
         return start
-
-    def put_bytes(self, data) -> ShmBytes:
-        """Copy ``data`` (bytes-like) into the arena once; every
-        consumer after this reads the shared pages directly."""
-        view = memoryview(data)
-        offset = self._bump(view.nbytes)
-        self._shm.buf[offset:offset + view.nbytes] = view
-        return ShmBytes(self.name, offset, view.nbytes)
 
     def alloc_array(self, shape: Tuple[int, ...],
                     dtype=np.uint64) -> Tuple[np.ndarray, ShmArray]:

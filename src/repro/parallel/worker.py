@@ -2,40 +2,33 @@
 
 Every function here is a plain module-level callable (picklable by
 reference for process pools) taking one payload tuple and returning one
-shard result.  Workers always run their shard **serially**
-(``config.serial()``) — parallel-in-parallel recursion is forbidden by
-construction — and attach the shared on-disk kernel cache before
-compiling anything, so a kernel the parent (or a sibling) already
-built is loaded from its marshalled artefact instead of being
-re-generated.  Persistent pools attach the cache once at spawn via
-:func:`init_worker` (the executor initializer), so even a worker's
-first shard starts warm.
+shard result.  Workers always run their shard **serially** and never
+gate — the parent already ran the prefilter — and attach the shared
+on-disk kernel cache before compiling anything, so a kernel the parent
+(or a sibling) already built is loaded from its marshalled artefact
+instead of being re-generated.  Persistent pools attach the cache once
+at spawn via :func:`init_worker` (the executor initializer), so even a
+worker's first shard starts warm.  A faulted shard is re-run in the
+parent through the same function.
 
 Shard payloads stay small: the engine's programs/plans pickle cheaply
 (compiled kernels are dropped by :meth:`BitGenEngine.__getstate__` and
 rebuilt through the disk cache — or inherited outright under the
-``fork`` start method), while the *bulk* — input byte batches and
-pre-transposed basis word arrays — crosses as
-:class:`~repro.parallel.shm.ShmBytes` / :class:`ShmArray` descriptors
-resolved zero-copy out of the parent's :class:`SharedArena` segment
-(:class:`StreamShardSpec`, :class:`GroupShardSpec`).
+``fork`` start method), while the *bulk* — each input's basis words,
+transposed once by the parent — crosses as a :class:`ShardInput`,
+inline or as a :class:`~repro.parallel.shm.ShmArray` descriptor
+resolved zero-copy out of the parent's :class:`SharedArena` segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..resilience import chaos
-from ..resilience.chaos import InjectedFault  # noqa: F401  (back-compat)
 from .report import ScanReport
-from .shm import ShmArray, ShmBytes
-
-#: Legacy all-sites fault hook, still honoured as a shim by the chaos
-#: framework; new code should use ``$REPRO_CHAOS`` / a ChaosPlan
-#: (:mod:`repro.resilience.chaos`) for site/probability/count control.
-FAULT_ENV = chaos.LEGACY_FAULT_ENV
+from .shm import ShmArray
 
 _CELLS_RUN = obs.registry().counter(
     "repro_worker_cells_total",
@@ -66,78 +59,54 @@ def init_worker(cache_dir: Optional[str] = None) -> None:
         pass
 
 
-# -- zero-copy shard payloads ------------------------------------------------
+# -- shard payloads ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class StreamShardSpec:
-    """One stream shard's data, resident in shared memory.
-
-    ``sizes`` are the per-stream byte lengths in shard-local order.
-    Exactly one of the two carriers is set: ``classes`` holds
-    pre-transposed basis word arrays per length class (compiled
-    backend — workers skip the transpose entirely), ``raw`` holds the
-    input byte ranges (simulating backend)."""
-
-    sizes: Tuple[int, ...]
-    classes: Optional[Tuple[Tuple[int, Tuple[int, ...], ShmArray],
-                            ...]] = None
-    raw: Optional[Tuple[ShmBytes, ...]] = None
-
-    def resolve_classes(self) -> List[Tuple[int, List[int], object]]:
-        return [(size, list(indices), ref.resolve())
-                for size, indices, ref in self.classes]
-
-    def resolve_streams(self) -> List[bytes]:
-        return [bytes(ref.resolve()) for ref in self.raw]
-
-
-@dataclass(frozen=True)
-class GroupShardSpec:
-    """One group shard's input: the whole input's basis words,
-    transposed once by the parent and shared by every shard."""
+class ShardInput:
+    """One input as a shard carries it: its ``(8, W)`` basis words —
+    an array, or a descriptor of one in the parent's shared-memory
+    arena — and the groups to run on it (``None``: every group of the
+    shard's engine)."""
 
     input_bytes: int
-    basis: ShmArray
+    words: object
+    active: Optional[Tuple[int, ...]] = None
+
+    def basis(self):
+        """The basis words, resolved zero-copy out of shared memory."""
+        if isinstance(self.words, ShmArray):
+            return self.words.resolve()
+        return self.words
 
 
 # -- shard tasks -------------------------------------------------------------
 
 
 def scan_streams(payload) -> List:
-    """One stream-shard: ``engine.match_many`` over a subset of the
-    dispatch's streams, serial inside the worker (shards hold whole
-    length classes, the serial transpose unit).  Shared-
-    memory shards execute straight on the parent's transposed words."""
-    engine, shard, cache_dir = payload
+    """One stream shard: each of its inputs through
+    ``engine.match_words`` on its own active groups."""
+    engine, inputs, cache_dir = payload
     chaos.maybe_inject("worker.stream")
     attach_disk_cache(cache_dir)
-    if isinstance(shard, StreamShardSpec):
-        if shard.classes is not None:
-            return engine.match_many_words(list(shard.sizes),
-                                           shard.resolve_classes())
-        return engine.match_many(shard.resolve_streams(),
-                                 config=engine.config.serial())
-    return engine.match_many(shard, config=engine.config.serial())
+    return [engine.match_words(unit.basis(), unit.input_bytes,
+                               active=unit.active)
+            for unit in inputs]
 
 
 def scan_groups(payload) -> Tuple:
-    """One group-shard: a sub-engine over a subset of the engine's
-    compiled groups (whole kernel-fingerprint buckets, so the batched
-    2D dispatch inside the shard equals the serial bucket), run over
-    one input.  Returns ``(group_indices, result)``."""
+    """One group shard: a sub-engine over some of the engine's
+    (prefilter-active) groups, run over the input's shared basis
+    words.  Returns ``(group_indices, result)``."""
     from ..core.engine import BitGenEngine
 
-    engine, group_indices, data, cache_dir = payload
+    engine, group_indices, unit, cache_dir = payload
     chaos.maybe_inject("worker.group")
     attach_disk_cache(cache_dir)
     sub = BitGenEngine([engine.groups[i] for i in group_indices],
                        engine.pattern_count,
                        config=engine.config.serial())
-    if isinstance(data, GroupShardSpec):
-        return group_indices, sub.match_words(data.basis.resolve(),
-                                              data.input_bytes)
-    return group_indices, sub.match(data)
+    return group_indices, sub.match_words(unit.basis(), unit.input_bytes)
 
 
 def run_session(payload) -> ScanReport:

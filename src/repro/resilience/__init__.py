@@ -25,8 +25,7 @@ computes, only how (and whether) it recovers.
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, STATE_CODES, CircuitBreaker
 from .chaos import (CHAOS_ENV, DEFAULT_SLEEP_SECONDS, FAULT_KINDS,
-                    LEGACY_FAULT_ENV, SLEEP_ENV, ChaosPlan, ChaosRule,
-                    InjectedFault)
+                    SLEEP_ENV, ChaosPlan, ChaosRule, InjectedFault)
 from .deadline import Deadline
 from .policy import ON_FAULT_POLICIES, RetryPolicy, ScanAbortedError
 from . import chaos
@@ -42,7 +41,6 @@ __all__ = [
     "FAULT_KINDS",
     "HALF_OPEN",
     "InjectedFault",
-    "LEGACY_FAULT_ENV",
     "ON_FAULT_POLICIES",
     "OPEN",
     "RetryPolicy",

@@ -1,12 +1,11 @@
 """Seeded, site-addressable fault injection.
 
-The old hook — ``REPRO_PARALLEL_FAULT_INJECT=<kind>`` — was a blunt
-instrument: every site, every worker, probability one.  A
-:class:`ChaosPlan` replaces it with structure: a tuple of
-:class:`ChaosRule` entries, each naming a **site** (glob over the
-instrumented site names), a **fault kind**, a firing **probability**,
-and an optional **max_count**, driven by one seeded RNG so a plan
-replays deterministically within a process.
+A :class:`ChaosPlan` is a tuple of :class:`ChaosRule` entries, each
+naming a **site** (glob over the instrumented site names), a **fault
+kind**, a firing **probability**, and an optional **max_count**,
+driven by one seeded RNG so a plan replays deterministically within a
+process.  ``REPRO_CHAOS="worker.*:exception"`` fails every worker
+task; ``:timeout`` and ``:exit`` hang or kill them instead.
 
 Instrumented sites (grep ``maybe_inject`` for ground truth):
 
@@ -33,8 +32,6 @@ Arming a plan:
   thread workers, and process workers forked *after* the install;
 * **environment** — ``REPRO_CHAOS=<spec>`` with the grammar below;
   reaches every worker (fork and spawn inherit the environment).
-  The legacy ``REPRO_PARALLEL_FAULT_INJECT`` hook keeps working as a
-  shim: it maps to an all-worker-sites, probability-one plan.
 
 Spec grammar (``;``-separated clauses)::
 
@@ -65,8 +62,6 @@ from .. import obs
 
 #: structured spec environment hook
 CHAOS_ENV = "REPRO_CHAOS"
-#: legacy all-sites hook, kept as a compatibility shim
-LEGACY_FAULT_ENV = "REPRO_PARALLEL_FAULT_INJECT"
 #: override for how long a ``timeout`` injection sleeps
 SLEEP_ENV = "REPRO_CHAOS_SLEEP"
 
@@ -176,12 +171,6 @@ class ChaosPlan:
         return cls(rules=tuple(rules), seed=seed)
 
 
-def _legacy_plan(kind: str) -> ChaosPlan:
-    """The shim: the old env hook as a structured plan."""
-    mapped = kind if kind in ("timeout", "exit") else "exception"
-    return ChaosPlan(rules=(ChaosRule(site="worker.*", kind=mapped),))
-
-
 # -- per-process runtime state -----------------------------------------------
 
 
@@ -254,22 +243,19 @@ def reset() -> None:
 
 def active_state() -> Optional[_ChaosState]:
     """The armed chaos state: the installed plan wins, then
-    ``$REPRO_CHAOS``, then the legacy env hook."""
+    ``$REPRO_CHAOS``."""
     global _ENV_STATE
     if _INSTALLED is not None:
         return _INSTALLED
     spec = os.environ.get(CHAOS_ENV)
-    legacy = None if spec else os.environ.get(LEGACY_FAULT_ENV)
-    if not spec and not legacy:
+    if not spec:
         return None
-    key = spec if spec else f"<legacy:{legacy}>"
     with _STATE_LOCK:
         cached_key, cached = _ENV_STATE
-        if cached_key == key and cached is not None:
+        if cached_key == spec and cached is not None:
             return cached
-        plan = ChaosPlan.parse(spec) if spec else _legacy_plan(legacy)
-        state = _ChaosState(plan)
-        _ENV_STATE = (key, state)
+        state = _ChaosState(ChaosPlan.parse(spec))
+        _ENV_STATE = (spec, state)
         return state
 
 

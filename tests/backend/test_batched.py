@@ -1,17 +1,19 @@
 """Bucketed CTA dispatch must be bit-identical to one-at-a-time
-execution — grouping programs that share a kernel (or streams that
-share a length) is a pure scheduling change.
+execution — grouping programs that share a kernel is a pure scheduling
+change — and one transpose of an input serves every group on both
+backends.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import (compile_group, dispatch_programs,
-                           dispatch_streams, compile_program)
+from repro.backend import (basis_environment, compile_group,
+                           compile_program, dispatch_words)
 from repro.core.engine import BitGenEngine
 from repro.core.schemes import Scheme
 from repro.parallel.config import ScanConfig
-from repro.ir.interpreter import Interpreter
+from repro.ir.interpreter import (Interpreter, make_environment,
+                                  words_environment)
 from repro.ir.lower import lower_group
 from repro.regex.parser import parse
 
@@ -36,6 +38,10 @@ def _as_int(words, length):
         & ((1 << length) - 1)
 
 
+def _dispatch(compiled, data):
+    return dispatch_words(compiled, basis_environment(data), len(data) + 1)
+
+
 def test_dispatch_programs_matches_interpreter():
     programs = _programs(["abc", "xyz", "qrs"]) + \
         [lower_group([parse(p)]) for p in ["a(b|c)*d", "x{2,4}y"]]
@@ -44,8 +50,7 @@ def test_dispatch_programs_matches_interpreter():
     fingerprints = [c.kernel.fingerprint for c in compiled]
     assert len(set(fingerprints[:3])) == 1
     length = len(DATA) + 1
-    for program, (raw, _stats) in zip(
-            programs, dispatch_programs(compiled, DATA)):
+    for program, (raw, _stats) in zip(programs, _dispatch(compiled, DATA)):
         expected = _expected(program, DATA)
         assert set(raw) == set(expected)
         for name in expected:
@@ -55,7 +60,7 @@ def test_dispatch_programs_matches_interpreter():
 def test_dispatch_matches_individual_runs():
     programs = _programs(["abc", "xyz", "qrs"])
     compiled = compile_group(programs)
-    batched = dispatch_programs(compiled, DATA)
+    batched = _dispatch(compiled, DATA)
     for member, (raw, _stats) in zip(compiled, batched):
         solo, _ = member.run_data(DATA)
         for name in solo:
@@ -63,10 +68,11 @@ def test_dispatch_matches_individual_runs():
 
 
 def test_dispatch_streams_matches_interpreter():
+    """Several streams are several dispatches of the same kernel."""
     program = lower_group([parse(p) for p in ["ab", "a(b|c)*d"]])
     compiled = compile_program(program)
     streams = [DATA, DATA[:96], b"", DATA[:96], b"dacb" * 40]
-    results = dispatch_streams(compiled, streams)
+    results = [_dispatch([compiled], stream)[0] for stream in streams]
     for stream, (raw, _stats) in zip(streams, results):
         expected = _expected(program, stream)
         length = len(stream) + 1
@@ -76,7 +82,7 @@ def test_dispatch_streams_matches_interpreter():
 
 def test_batched_outputs_are_independent_copies():
     compiled = compile_group(_programs(["abc", "xyz"]))
-    first, second = dispatch_programs(compiled, DATA)
+    first, second = _dispatch(compiled, DATA)
     first[0]["R0"][:] = 0
     solo, _ = compiled[1].run_data(DATA)
     assert np.array_equal(second[0]["R0"], solo["R0"])
@@ -104,30 +110,29 @@ def test_engine_match_many_backend_equivalence():
 
 
 def test_match_many_reports_each_streams_own_metrics():
-    """Equal-length streams share a transpose class, not kernel stats:
-    each stream's metrics are what scanning it alone reports."""
-    engine = BitGenEngine.compile(["a(bc)*d", "x+y"],
-                                  config=ScanConfig(backend="compiled"))
+    """On both backends ``match_many(xs)`` is ``[match(x) for x in
+    xs]``: each stream's result is what scanning it alone reports."""
     streams = [b"abcd" + b"." * 40, b"a" + b"bc" * 20 + b"d" + b"xy",
-               b"." * 44]
-    for stream, result in zip(streams, engine.match_many(streams)):
-        assert result.metrics == engine.match(stream).metrics
+               b"." * 44, b""]
+    for backend in ("simulate", "compiled"):
+        engine = BitGenEngine.compile(["a(bc)*d", "x+y"],
+                                      config=ScanConfig(backend=backend))
+        for stream, result in zip(streams, engine.match_many(streams)):
+            alone = engine.match(stream)
+            assert result.ends == alone.ends
+            assert result.metrics == alone.metrics
+            assert result.cta_metrics == alone.cta_metrics
 
 
-def test_sequential_compiled_metrics_match_simulation():
-    from repro.core.sequential import SequentialExecutor
-
-    program = lower_group([parse(p) for p in ["a(b|c)*d", "a+b"]])
-    simulate = SequentialExecutor().run(program, DATA)
-    compiled = SequentialExecutor(backend="compiled").run(program, DATA)
-    for name in simulate.outputs:
-        assert compiled.outputs[name].bits == simulate.outputs[name].bits
-    for counter in ("thread_word_ops", "loop_iterations", "barriers",
-                    "fused_loops", "dram_read_bytes", "dram_write_bytes",
-                    "intermediate_streams", "peak_intermediate_bytes",
-                    "blocks_processed", "output_bits"):
-        assert getattr(compiled.metrics, counter) == \
-            getattr(simulate.metrics, counter), counter
+def test_basis_words_give_the_interpreter_planes():
+    """The simulating executors read their planes from the same basis
+    words the kernels read: equal to the interpreter's own transpose
+    at every tail alignment."""
+    data = bytes(range(256)) * 17
+    for size in list(range(0, 130)) + [511, 512, 513, 4096, 4097]:
+        chunk = data[:size]
+        assert words_environment(basis_environment(chunk), size + 1) \
+            == make_environment(chunk), size
 
 
 def test_cached_word_op_weights_match_a_fresh_walk():

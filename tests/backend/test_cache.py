@@ -9,6 +9,8 @@ from repro.backend import KernelCache, canonicalize, compile_program
 from repro.ir.program import ProgramBuilder
 from repro.regex.charclass import CharClass
 
+from tests.backend.test_compiled_equivalence import kernel_outputs
+
 
 def _literal_program(text: str):
     """Cursor-style literal matcher over MATCH_CC primitives — the
@@ -130,8 +132,7 @@ def test_multibyte_match_cc_matches_interpreter():
                CharClass.of_chars("\x80\xff"), CharClass.single(0),
                CharClass.empty()]
     for cc in classes:
-        compiled = Interpreter(backend="compiled").run(
-            matcher(cc, expand=False), data)
+        compiled, _ = kernel_outputs(matcher(cc, expand=False), data)
         assert compiled == Interpreter().run(matcher(cc, expand=True),
                                              data), cc
 

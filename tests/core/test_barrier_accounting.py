@@ -7,6 +7,7 @@ from repro.core.interleaved import InterleavedExecutor
 from repro.core.rebalance import rebalance_program
 from repro.gpu.machine import CTAGeometry
 from repro.ir.instructions import Instr, Op
+from repro.ir.interpreter import make_environment
 from repro.ir.lower import lower_regex
 from repro.ir.program import Program, ProgramBuilder
 from repro.regex.parser import parse
@@ -32,7 +33,7 @@ def straight_line_program(shift_count: int) -> Program:
 
 def run_with_plan(program, plan, data=b"abcdefgh" * 8):
     executor = InterleavedExecutor(geometry=TINY, barrier_plan=plan)
-    return executor.run(program, data)
+    return executor.run(program, make_environment(data))
 
 
 def test_unmerged_barriers_two_per_shift_per_block():
@@ -67,7 +68,7 @@ def test_merge_reduces_runtime_barriers_end_to_end():
 def test_no_plan_treats_every_shift_as_leader():
     program = straight_line_program(2)
     executor = InterleavedExecutor(geometry=TINY, barrier_plan=None)
-    result = executor.run(program, b"abcd" * 8)
+    result = executor.run(program, make_environment(b"abcd" * 8))
     blocks = result.metrics.blocks_processed
     assert result.metrics.barriers == 2 * 2 * blocks
 

@@ -11,6 +11,7 @@ from repro.core.sequential import FUSABLE_OPS, SequentialExecutor, \
     split_passes
 from repro.gpu.machine import CTAGeometry
 from repro.ir.instructions import Instr, Op, SkipGuard, WhileLoop
+from repro.ir.interpreter import make_environment
 from repro.ir.lower import lower_regex
 from repro.ir.program import Program, ProgramBuilder
 from repro.regex.parser import parse
@@ -91,7 +92,8 @@ def test_const_window_text_mask():
 
 def test_sequential_counts_loops_and_intermediates():
     program = lower_regex(parse("ab"))
-    result = SequentialExecutor(TINY).run(program, b"abab")
+    result = SequentialExecutor(TINY).run(program,
+                                          make_environment(b"abab"))
     metrics = result.metrics
     assert metrics.fused_loops >= 2             # bitwise run + shifts
     assert metrics.intermediate_streams > 0
@@ -101,7 +103,8 @@ def test_sequential_counts_loops_and_intermediates():
 
 def test_sequential_loop_iterations_counted():
     program = lower_regex(parse("a(bc)*d"))
-    result = SequentialExecutor(TINY).run(program, b"abcbcbcd")
+    result = SequentialExecutor(TINY).run(
+        program, make_environment(b"abcbcbcd"))
     assert result.metrics.loop_iterations >= 3
 
 
@@ -110,7 +113,8 @@ def test_sequential_loop_iterations_counted():
 def test_interleaved_counts_recompute():
     program = lower_regex(parse("abcdefgh"))     # 8-bit static lookback
     executor = InterleavedExecutor(geometry=TINY)
-    result = executor.run(program, b"x" * 40 + b"abcdefgh" + b"x" * 16)
+    result = executor.run(program, make_environment(
+        b"x" * 40 + b"abcdefgh" + b"x" * 16))
     assert result.metrics.recomputed_bits > 0
     assert result.metrics.recompute_fraction() > 0
     assert result.metrics.fused_loops == 1
@@ -120,7 +124,7 @@ def test_interleaved_single_block_no_recompute():
     program = lower_regex(parse("ab"))
     executor = InterleavedExecutor(geometry=CTAGeometry(threads=64,
                                                         word_bits=32))
-    result = executor.run(program, b"abab")
+    result = executor.run(program, make_environment(b"abab"))
     assert result.metrics.blocks_processed == 1
     assert result.metrics.recomputed_bits == 0
 
@@ -128,7 +132,7 @@ def test_interleaved_single_block_no_recompute():
 def test_interleaved_dram_reads_only_inputs():
     program = lower_regex(parse("a(bc)*d"))
     executor = InterleavedExecutor(geometry=TINY)
-    result = executor.run(program, b"abcbcd" * 10)
+    result = executor.run(program, make_environment(b"abcbcd" * 10))
     metrics = result.metrics
     # reads: basis planes per block; writes: one output stream
     assert metrics.dram_read_bytes > 0
@@ -139,7 +143,7 @@ def test_interleaved_dram_reads_only_inputs():
 def test_segmented_materialises_loop_streams():
     program = lower_regex(parse("a(bc)*d"))
     executor = InterleavedExecutor(geometry=TINY, segmented=True)
-    result = executor.run(program, b"abcbcd" * 4)
+    result = executor.run(program, make_environment(b"abcbcd" * 4))
     assert result.metrics.intermediate_streams > 0
     assert result.metrics.fused_loops > 1
 
@@ -148,7 +152,7 @@ def test_empty_program_executes():
     program = Program("empty", [], {})
     for executor in (SequentialExecutor(TINY),
                      InterleavedExecutor(geometry=TINY)):
-        result = executor.run(program, b"abc")
+        result = executor.run(program, make_environment(b"abc"))
         assert result.outputs == {}
 
 
@@ -156,5 +160,6 @@ def test_output_of_constant_program():
     builder = ProgramBuilder("const")
     builder.mark_output("R", builder.ones())
     program = builder.finish()
-    result = InterleavedExecutor(geometry=TINY).run(program, b"ab")
+    result = InterleavedExecutor(geometry=TINY).run(
+        program, make_environment(b"ab"))
     assert result.outputs["R"] == BitVector.ones(3)

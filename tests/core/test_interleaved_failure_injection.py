@@ -6,7 +6,7 @@ from repro.core import BitGenEngine, OverlapLimitError, Scheme
 from repro.core.interleaved import InterleavedExecutor
 from repro.gpu.machine import CTAGeometry
 from repro.ir.instructions import Instr, Op, WhileLoop
-from repro.ir.interpreter import run_regexes
+from repro.ir.interpreter import make_environment, run_regexes
 from repro.ir.lower import lower_regex
 from repro.ir.program import Program
 from repro.parallel.config import ScanConfig
@@ -69,7 +69,7 @@ def test_divergent_loop_detected():
     program.validate()
     executor = InterleavedExecutor(geometry=TINY)
     with pytest.raises(RuntimeError, match="diverged"):
-        executor.run(program, b"abcdefgh")
+        executor.run(program, make_environment(b"abcdefgh"))
 
 
 def test_base_scheme_unaffected_by_limit():
@@ -101,7 +101,7 @@ def test_lookahead_rerun_counted():
     builder.mark_output("R", builder.and_(a, peeked))
     program = builder.finish()
     executor = InterleavedExecutor(geometry=TINY)
-    result = executor.run(program, b"aaaaXaaa" * 12)
+    result = executor.run(program, make_environment(b"aaaaXaaa" * 12))
     from repro.ir.interpreter import Interpreter
 
     expected = Interpreter().run(program, b"aaaaXaaa" * 12)["R"]

@@ -77,6 +77,9 @@ def test_prefilter_is_dispatch_time_not_compile_time():
 
 @pytest.mark.parametrize("impl", PREFILTER_IMPLS)
 def test_match_many_union_gating(impl):
+    """No union gate: each stream is gated on its own bytes, so
+    ``match_many`` returns exactly ``match`` per stream, gate report
+    included."""
     config = ScanConfig(backend="compiled", prefilter=True,
                         prefilter_impl=impl, loop_fallback=True)
     engine = BitGenEngine.compile(PATTERNS, config=config)
@@ -85,9 +88,14 @@ def test_match_many_union_gating(impl):
     streams = [SPARSE, DENSE, b"needle7", b""]
     results = engine.match_many(streams)
     for stream, result in zip(streams, results):
-        assert result.ends == _ends(baseline, stream)
-    assert engine.last_prefilter is not None
-    assert engine.last_prefilter.input_bytes == sum(map(len, streams))
+        alone = engine.match(stream)
+        assert result.ends == alone.ends == _ends(baseline, stream)
+        assert result.metrics == alone.metrics
+        assert result.cta_metrics == alone.cta_metrics
+        assert result.prefilter.to_dict() == alone.prefilter.to_dict()
+        assert result.prefilter.input_bytes == len(stream)
+    # the sparse stream ran fewer groups than the dense one
+    assert results[0].prefilter.active < results[1].prefilter.active
 
 
 #: literals probing the screen's 8-byte windows: longer than 8 with a

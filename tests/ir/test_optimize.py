@@ -10,7 +10,7 @@ from repro.core.zeroskip import insert_guards
 from repro.ir.instructions import Instr, Op, SkipGuard, iter_instrs
 from repro.ir.interpreter import Interpreter
 from repro.ir.lower import lower_group, lower_regex
-from repro.ir.optimize import optimize_program
+from repro.ir.passes import optimize_pipeline
 from repro.ir.program import Program, ProgramBuilder
 from repro.regex.parser import parse
 
@@ -19,6 +19,11 @@ from ..conftest import random_text
 
 def count_instrs(program):
     return program.instruction_count()
+
+
+def optimize_program(program):
+    """The opt_level-1 cleanups: copy propagation + DCE to a fixpoint."""
+    return optimize_pipeline(program, 1)[0]
 
 
 def run(program, data, honour_guards=False):

@@ -1,6 +1,6 @@
-"""The opt_level-2 pass pipeline: CSE, algebraic folding, shift
-coalescing — unit behaviour, guard/loop conservatism, fixpoint
-idempotence, and bit-identity across optimization levels."""
+"""The opt_level-2 pass pipeline: CSE and algebraic folding — unit
+behaviour, guard/loop conservatism, fixpoint idempotence, and
+bit-identity across optimization levels."""
 
 import random
 
@@ -12,8 +12,7 @@ from repro.core.zeroskip import insert_guards
 from repro.ir.instructions import Instr, Op, SkipGuard, iter_instrs
 from repro.ir.interpreter import Interpreter
 from repro.ir.lower import lower_group, lower_regex
-from repro.ir.optimize import optimize_program
-from repro.ir.passes import (PipelineReport, coalesce_shift_chains,
+from repro.ir.passes import (LEVEL1_PASSES, PipelineReport,
                              eliminate_common_subexpressions,
                              optimize_pipeline, simplify_algebraic)
 from repro.ir.program import Program
@@ -205,52 +204,6 @@ def test_algebraic_ignores_guarded_consts():
     assert u.op is Op.AND          # not folded to COPY x
 
 
-# -- shift coalescing ---------------------------------------------------------
-
-
-def test_shift_chain_merges():
-    program = prog([
-        Instr("x", Op.MATCH_CC, cc=A),
-        Instr("s1", Op.SHIFT, ("x",), shift=2),
-        Instr("s2", Op.SHIFT, ("s1",), shift=3),
-        Instr("r", Op.COPY, ("s2",)),
-    ], {"R": "r"})
-    result, changes = coalesce_shift_chains(program)
-    assert changes == 1
-    s2 = [i for i in iter_instrs(result.statements) if i.dest == "s2"][0]
-    assert s2.args == ("x",) and s2.shift == 5
-    for data in (b"aaaa abab", b""):
-        assert run(program, data)["R"] == run(result, data)["R"]
-
-
-def test_shift_chain_transitive_in_one_pass():
-    program = prog([
-        Instr("x", Op.MATCH_CC, cc=A),
-        Instr("s1", Op.SHIFT, ("x",), shift=1),
-        Instr("s2", Op.SHIFT, ("s1",), shift=1),
-        Instr("s3", Op.SHIFT, ("s2",), shift=1),
-        Instr("r", Op.COPY, ("s3",)),
-    ], {"R": "r"})
-    result, changes = coalesce_shift_chains(program)
-    assert changes == 2
-    s3 = [i for i in iter_instrs(result.statements) if i.dest == "s3"][0]
-    assert s3.args == ("x",) and s3.shift == 3
-
-
-def test_opposite_sign_shifts_do_not_merge():
-    # (x >> 2) << 1 loses the bits shifted past the end; folding it to
-    # x >> 1 would resurrect them.
-    program = prog([
-        Instr("x", Op.MATCH_CC, cc=A),
-        Instr("s1", Op.SHIFT, ("x",), shift=2),
-        Instr("s2", Op.SHIFT, ("s1",), shift=-1),
-        Instr("r", Op.COPY, ("s2",)),
-    ], {"R": "r"})
-    result, changes = coalesce_shift_chains(program)
-    assert changes == 0
-    assert run(program, b"aaaa")["R"] == run(result, b"aaaa")["R"]
-
-
 # -- pipeline -----------------------------------------------------------------
 
 
@@ -267,8 +220,7 @@ def test_pipeline_reports_per_pass_deltas():
     assert report.after == count_instrs(optimized)
     assert report.ops_removed == report.before - report.after
     names = {d.name for d in report.passes}
-    assert names == {"copy_prop", "cse", "algebraic",
-                     "shift_coalesce", "dce"}
+    assert names == {"copy_prop", "cse", "algebraic", "dce"}
     assert sum(d.ops_removed for d in report.passes) \
         == report.ops_removed
 
@@ -283,10 +235,17 @@ def test_pipeline_idempotent():
 
 
 def test_pipeline_level1_matches_classic_cleanups():
+    """Level 1 is copy propagation + DCE, alternated to a fixpoint."""
     program = lower_group([parse(p) for p in TABLE2_PATTERNS])
-    classic = optimize_program(program)
+    classic = program
+    changed = True
+    while changed:
+        changed = False
+        for _, cleanup in LEVEL1_PASSES:
+            classic, changes = cleanup(classic)
+            changed |= changes > 0
     level1, _ = optimize_pipeline(program, level=1)
-    assert count_instrs(level1) == count_instrs(classic)
+    assert level1.statements == classic.statements
 
 
 def test_pipeline_level0_is_identity():
@@ -370,7 +329,7 @@ def test_engine_reports_optimization_stats():
     assert stats["instrs_after"] \
         == stats["instrs_before"] - stats["ops_removed"]
     assert set(stats["passes"]) == {"copy_prop", "cse", "algebraic",
-                                    "shift_coalesce", "dce", "factor"}
+                                    "dce", "factor"}
     totals = engine.program_stats()
     assert totals["optimized_away"] == stats["ops_removed"]
 

@@ -2,7 +2,7 @@
 
 Unit level: :class:`WorkerPool` recovers every faulted shard through
 the serial function and records a :class:`ShardFault` per incident.
-End to end: with the ``REPRO_PARALLEL_FAULT_INJECT`` hook armed, every
+End to end: with ``REPRO_CHAOS="worker.*:exception"`` armed, every
 worker raises before touching its shard, yet parallel scans still
 return results bit-identical to serial — only ``last_scan_faults``
 tells the difference.
@@ -18,7 +18,7 @@ from repro.core.engine import BitGenEngine
 from repro.gpu.machine import CTAGeometry
 from repro.parallel.config import ScanConfig
 from repro.parallel.pool import WorkerPool, shutdown
-from repro.parallel.worker import FAULT_ENV
+from repro.resilience import CHAOS_ENV
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 
@@ -129,7 +129,7 @@ def build(workers=2, **extra):
 def test_injected_faults_keep_match_many_identical(monkeypatch):
     serial = build(workers=1).match_many(STREAMS)
     engine = build()
-    monkeypatch.setenv(FAULT_ENV, "1")
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
     parallel = engine.match_many(STREAMS)
     assert engine.last_scan_faults            # every shard faulted
     assert all(f.kind == "error" and "InjectedFault" in f.error
@@ -142,7 +142,7 @@ def test_injected_faults_keep_match_many_identical(monkeypatch):
 def test_injected_faults_keep_group_scan_identical(monkeypatch):
     serial = build(workers=1).match(DATA)
     engine = build(workers=3)
-    monkeypatch.setenv(FAULT_ENV, "1")
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
     report = engine.scan(DATA)
     assert report.faults and all(f.kind == "error"
                                  for f in report.faults)
@@ -153,9 +153,9 @@ def test_injected_faults_keep_group_scan_identical(monkeypatch):
 
 def test_clean_run_resets_faults(monkeypatch):
     engine = build()
-    monkeypatch.setenv(FAULT_ENV, "1")
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
     engine.match_many(STREAMS)
     assert engine.last_scan_faults
-    monkeypatch.delenv(FAULT_ENV)
+    monkeypatch.delenv(CHAOS_ENV)
     engine.match_many(STREAMS)
     assert engine.last_scan_faults == []

@@ -1,10 +1,10 @@
 """Parallel scans must be bit-identical to serial scans.
 
 The dispatcher's core guarantee: sharding across workers changes wall
-clock, never results — match positions AND aggregated metrics come out
-equal because shards are built from the serial backend's own batching
-units (length classes for streams, kernel-fingerprint buckets for
-groups).
+clock, never results — match positions, aggregated metrics and the
+prefilter's gate reports come out equal because every shard runs the
+serial unit of work (one input's basis words plus the groups to run
+on it), and only the parent gates.
 
 Thread pools exercise the dispatch logic cheaply; one process-pool
 case covers pickling + the shared on-disk kernel cache end to end.
@@ -54,39 +54,23 @@ def assert_results_identical(parallel, serial):
 # -- shard planning ----------------------------------------------------------
 
 
-def test_stream_plan_keeps_length_classes_whole():
-    plan = plan_stream_shards(STREAMS, workers=3, preserve_batches=True)
-    flat = sorted(index for shard in plan for index in shard)
-    assert flat == list(range(len(STREAMS)))
-    by_length = {}
-    for index, stream in enumerate(STREAMS):
-        by_length.setdefault(len(stream), set()).add(index)
-    for members in by_length.values():
-        holders = [i for i, shard in enumerate(plan)
-                   if members & set(shard)]
-        assert len(holders) == 1      # a length class never splits
-
-
 def test_stream_plan_per_stream_without_batches():
-    plan = plan_stream_shards(STREAMS, workers=len(STREAMS) + 3,
-                              preserve_batches=False)
+    plan = plan_stream_shards(STREAMS, workers=len(STREAMS) + 3)
     assert sorted(i for s in plan for i in s) == list(range(len(STREAMS)))
     assert len(plan) <= len(STREAMS)
 
 
-def test_group_plan_keeps_fingerprint_buckets_whole():
+def test_group_plan_shards_single_groups():
     engine = build("compiled")
     plan = plan_group_shards(engine, workers=3)
     flat = sorted(index for shard in plan for index in shard)
     assert flat == list(range(len(engine.groups)))
-    fingerprints = [c.kernel.fingerprint
-                    for c in engine._compiled_programs()]
-    for fingerprint in set(fingerprints):
-        members = {i for i, f in enumerate(fingerprints)
-                   if f == fingerprint}
-        holders = [i for i, shard in enumerate(plan)
-                   if members & set(shard)]
-        assert len(holders) == 1
+    assert len(plan) == 3
+    # A prefiltered scan plans over the active groups only.
+    active = [0, 2]
+    plan = plan_group_shards(engine, workers=3, groups=active)
+    assert sorted(i for shard in plan for i in shard) == active
+    assert all(len(shard) == 1 for shard in plan)
 
 
 # -- match_many (stream sharding) -------------------------------------------
@@ -136,6 +120,65 @@ def test_scanner_match_preserves_group_order():
     assert merged.ends == serial.ends
     assert merged.cta_metrics == serial.cta_metrics
     assert merged.metrics == serial.metrics
+
+
+# -- prefiltered scans: the parent gates, shards never do -------------------
+
+GATED_PATTERNS = [f"sig{i:05d}[0-9]+x" for i in range(40)] \
+    + ["[a-y][a-y0-9]*z3q"]
+#: each stream fires different gate literals; the last fires none
+GATED_STREAMS = [b"sig00003 17x .. sig00017 4x ab0z3q " * 40,
+                 b"zz sig00025 9x " * 60, b"." * 1500]
+
+
+def gated_engine(backend, **dispatch):
+    return BitGenEngine.compile(
+        GATED_PATTERNS, config=ScanConfig(backend=backend, cta_count=8,
+                                          prefilter=True,
+                                          min_parallel_bytes=0,
+                                          **dispatch))
+
+
+def gated_view(report, cta_metrics, gate):
+    """What must agree: the report minus how it was dispatched, the
+    per-CTA metrics, and the gate report."""
+    payload = report.to_dict()
+    del payload["dispatch"], payload["faults"]
+    return payload, cta_metrics, gate.to_dict()
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["simulate", "compiled"])
+def test_prefiltered_match_many_identical(backend, executor):
+    serial = gated_engine(backend).match_many(GATED_STREAMS)
+    engine = gated_engine(backend, workers=2, executor=executor)
+    parallel = engine.match_many(GATED_STREAMS)
+    assert engine.last_dispatch == "parallel"
+    assert engine.last_scan_faults == []
+    assert [gated_view(r.report(), r.cta_metrics, r.prefilter)
+            for r in parallel] == \
+        [gated_view(r.report(), r.cta_metrics, r.prefilter)
+         for r in serial]
+    # Each stream was gated on its own bytes.
+    assert [r.prefilter.input_bytes for r in parallel] == \
+        [len(s) for s in GATED_STREAMS]
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["simulate", "compiled"])
+def test_prefiltered_scan_identical(backend, executor):
+    data = b"".join(GATED_STREAMS)
+    serial_engine = gated_engine(backend)
+    serial = serial_engine.scan(data)
+    engine = gated_engine(backend, workers=2, executor=executor)
+    parallel = engine.scan(data)
+    assert parallel.dispatch == "parallel"
+    assert parallel.faults == []
+    assert serial_engine.last_prefilter.skipped > 0
+    assert gated_view(parallel, parallel.cta_metrics,
+                      engine.last_prefilter) == \
+        gated_view(serial, serial.cta_metrics,
+                   serial_engine.last_prefilter)
 
 
 # -- streaming sessions ------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from repro.parallel import pool as pool_mod
 from repro.parallel.config import ScanConfig
 from repro.parallel.pool import WorkerPool, pool_stats, shutdown
-from repro.parallel.worker import FAULT_ENV
+from repro.resilience import CHAOS_ENV
 
 
 @pytest.fixture(autouse=True)
@@ -94,12 +94,12 @@ def test_timeout_discards_the_poisoned_pool():
 def test_fault_injection_bypasses_the_registry(monkeypatch):
     pool = thread_pool()
     pool.map_shards(lambda p: p, [1, 2])  # park a warm pool
-    monkeypatch.setenv(FAULT_ENV, "generic")
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
     # The env hook only reaches workers created after the mutation, so
     # the dispatcher must not serve this dispatch from the warm pool.
     pool.map_shards(lambda p: p, [3, 4], serial_fn=lambda p: p)
     assert pool.last_pool_state == "cold"
-    monkeypatch.delenv(FAULT_ENV)
+    monkeypatch.delenv(CHAOS_ENV)
     pool.map_shards(lambda p: p, [5, 6])
     assert pool.last_pool_state == "warm"
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 
-from repro.backend.runtime import KernelStats
 from repro.core.engine import BitGenEngine
 from repro.gpu.machine import CTAGeometry
 from repro.gpu.metrics import KernelMetrics
@@ -140,23 +139,6 @@ def test_shard_fault_to_dict():
                                "retries": 1}
     assert "kind=pool" in fault.summary()
     assert "retries=1" in fault.summary()
-
-
-# -- KernelStats.merge (the per-shard runtime stats fold) --------------------
-
-
-def test_kernel_stats_merge():
-    left = KernelStats()
-    left.loop_log.extend([3, 5])
-    left.guard_checks, left.guard_hits = 10, 4
-    right = KernelStats()
-    right.loop_log.append(7)
-    right.guard_checks, right.guard_hits = 2, 1
-    merged = left.merge(right)
-    assert merged is left
-    assert left.loop_log == [3, 5, 7]
-    assert left.guard_checks == 12
-    assert left.guard_hits == 5
 
 
 def test_report_records_dispatch():

@@ -31,7 +31,6 @@ from .test_shm import (DATA, PATTERNS, STREAMS, TINY, assert_no_leaks,
 @pytest.fixture(autouse=True)
 def clean_slate(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
-    monkeypatch.delenv(chaos.LEGACY_FAULT_ENV, raising=False)
     chaos.reset()
     shm.dispose_all()
     yield

@@ -153,23 +153,12 @@ def test_invalid_opt_and_threshold_fields_rejected(bad):
 
 
 def test_opt_level_defaults_to_full_pipeline():
-    config = ScanConfig()
-    assert config.opt_level == 2
-    assert config.effective_opt_level() == 2
-
-
-def test_optimize_false_forces_level_zero():
-    # The legacy boolean stays authoritative: optimize=False disables
-    # the pipeline outright, whatever opt_level says.
-    config = ScanConfig(optimize=False, opt_level=2)
-    assert config.effective_opt_level() == 0
+    assert ScanConfig().opt_level == 2
 
 
 def test_opt_level_changes_compile_key():
     base = ScanConfig()
     assert base.compile_key() != base.replace(opt_level=0).compile_key()
-    assert base.replace(optimize=False).compile_key() \
-        == base.replace(opt_level=0).compile_key()
 
 
 def test_parallel_for_bytes_threshold():

@@ -24,8 +24,8 @@ from repro.parallel import shm
 from repro.parallel.config import ScanConfig
 from repro.parallel.pool import shutdown
 from repro.parallel.scan import ParallelScanner
-from repro.parallel.shm import SharedArena, ShmArray, ShmBytes
-from repro.parallel.worker import FAULT_ENV
+from repro.parallel.shm import SharedArena, ShmArray
+from repro.resilience import CHAOS_ENV
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 
@@ -53,13 +53,6 @@ def clean_slate():
 # -- SharedArena units -------------------------------------------------------
 
 
-def test_put_bytes_round_trip():
-    with SharedArena(1024, tag="t") as arena:
-        ref = arena.put_bytes(b"hello shards")
-        assert isinstance(ref, ShmBytes)
-        assert bytes(ref.resolve()) == b"hello shards"
-
-
 def test_alloc_array_view_is_shared():
     with SharedArena(4096, tag="t") as arena:
         view, ref = arena.alloc_array((8, 4))
@@ -85,8 +78,9 @@ def test_put_array_round_trips_dtype_and_shape():
 
 def test_allocations_are_aligned():
     with SharedArena(4096, tag="t") as arena:
-        first = arena.put_bytes(b"x")  # 1 byte, forces padding next
-        second = arena.put_bytes(b"y")
+        # 1 byte each, forcing padding before the next allocation
+        _, first = arena.alloc_array((1,), np.uint8)
+        _, second = arena.alloc_array((1,), np.uint8)
         assert first.offset % 64 == 0
         assert second.offset % 64 == 0
         assert second.offset > first.offset
@@ -95,7 +89,7 @@ def test_allocations_are_aligned():
 def test_overflow_raises_memory_error():
     with SharedArena(64, tag="t") as arena:
         with pytest.raises(MemoryError):
-            arena.put_bytes(b"z" * (arena.capacity + 1))
+            arena.alloc_array((arena.capacity + 1,), np.uint8)
 
 
 def test_release_unlinks_segment():
@@ -203,13 +197,27 @@ def test_shared_memory_off_still_identical(serial_streams):
     assert_no_leaks()
 
 
-def test_simulate_backend_ships_raw_bytes():
+def test_simulate_backend_ships_basis_words(monkeypatch):
+    """Both backends ship the same payload: each stream's ``(8, W)``
+    basis words, transposed once by the parent."""
+    from repro.backend.runtime import word_count
+
+    shipped = []
+    put_array = SharedArena.put_array
+
+    def spy(arena, array):
+        shipped.append(array.shape)
+        return put_array(arena, array)
+
+    monkeypatch.setattr(SharedArena, "put_array", spy)
     engine = build(backend="simulate")
     serial = [sig(r) for r in engine.match_many(STREAMS)]
     scanner = ParallelScanner(engine,
                               process_config(backend="simulate"))
     results = scanner.match_many(STREAMS)
     assert [sig(r) for r in results] == serial
+    assert sorted(shipped) == sorted((8, word_count(len(s) + 1))
+                                     for s in STREAMS)
     assert scanner.faults == []
     assert_no_leaks()
 
@@ -224,7 +232,8 @@ def test_simulate_backend_ships_raw_bytes():
 def test_worker_faults_leave_no_segments(monkeypatch, kind,
                                          fault_kinds, serial_streams):
     engine = build()
-    monkeypatch.setenv(FAULT_ENV, kind)
+    monkeypatch.setenv(CHAOS_ENV, {"generic": "worker.*:exception",
+                                   "exit": "worker.*:exit"}[kind])
     scanner = ParallelScanner(engine, process_config(shard="stream"))
     results = scanner.match_many(STREAMS)
     assert [sig(r) for r in results] == serial_streams
@@ -236,7 +245,7 @@ def test_worker_faults_leave_no_segments(monkeypatch, kind,
 
 def test_worker_timeout_leaves_no_segments(monkeypatch, serial_streams):
     engine = build()
-    monkeypatch.setenv(FAULT_ENV, "timeout")
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:timeout")
     scanner = ParallelScanner(
         engine, process_config(shard="stream", worker_timeout=0.5))
     results = scanner.match_many(STREAMS)
@@ -249,7 +258,7 @@ def test_worker_timeout_leaves_no_segments(monkeypatch, serial_streams):
 def test_group_faults_leave_no_segments(monkeypatch):
     engine = build()
     serial = engine.match(DATA)
-    monkeypatch.setenv(FAULT_ENV, "generic")
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
     scanner = ParallelScanner(engine, process_config(shard="group"))
     merged = scanner.match(DATA)
     assert sig(merged) == sig(serial)

@@ -36,7 +36,6 @@ SESSIONS = [
 @pytest.fixture(autouse=True)
 def clean_slate(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
-    monkeypatch.delenv(chaos.LEGACY_FAULT_ENV, raising=False)
     chaos.reset()
     shm.dispose_all()
     yield

@@ -1,5 +1,5 @@
-"""The chaos framework: plans, the spec grammar, seeded draws,
-suppression, and the legacy-env shim."""
+"""The chaos framework: plans, the spec grammar, seeded draws, and
+suppression."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.resilience.chaos import (ChaosPlan, ChaosRule, InjectedFault,
 @pytest.fixture(autouse=True)
 def clean_chaos(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
-    monkeypatch.delenv(chaos.LEGACY_FAULT_ENV, raising=False)
     chaos.reset()
     yield
     chaos.reset()
@@ -138,17 +137,6 @@ def test_env_respec_rearms(monkeypatch):
     monkeypatch.setenv(chaos.CHAOS_ENV, "worker.*:exception:1")
     with pytest.raises(InjectedFault):
         chaos.maybe_inject("worker.stream")
-
-
-def test_legacy_env_shim(monkeypatch):
-    monkeypatch.setenv(chaos.LEGACY_FAULT_ENV, "1")
-    assert chaos.armed()
-    with pytest.raises(InjectedFault):
-        chaos.maybe_inject("worker.group")
-    chaos.maybe_inject("pool.acquire")    # legacy hook is worker-only
-    monkeypatch.setenv(chaos.LEGACY_FAULT_ENV, "timeout")
-    monkeypatch.setenv(chaos.SLEEP_ENV, "0.01")
-    chaos.maybe_inject("worker.stream")   # sleeps, does not raise
 
 
 def test_installed_plan_wins_over_env(monkeypatch):
