@@ -103,8 +103,9 @@ def run(quick: bool) -> dict:
                            for r in rows) for level in LEVELS}
     reduction = 1.0 - executed[2] / max(1, executed[0])
     payload = {
-        "benchmark": "IR pass pipeline (CSE + algebraic + shift "
-                     "coalescing) vs unoptimized lowering",
+        "benchmark": "IR pass pipeline (copy propagation + CSE + "
+                     "algebraic + DCE + prologue factoring) vs "
+                     "unoptimized lowering",
         "mode": "quick" if quick else "full",
         "apps": list(apps),
         "rows": rows,

@@ -13,8 +13,11 @@ dispatch disappears entirely:
 * the paper's ``>>`` (advance) is ``x << d``, masked back to ``L`` bits
   only when the shifted value outgrows them; the paper's ``<<`` is
   ``x >> d``;
-* while-loops and zero guards become native control flow whose tests
-  (``if x:``) are O(1).
+* while-loops become native control flow whose tests (``while x:``)
+  are O(1).
+
+Compiled engines never insert zero guards, and canonicalisation drops
+any a program carries, so kernels hold no skip paths.
 
 Character classes never reach a group kernel.  Canonicalisation moved
 every class stream into the engine's class table; a kernel reads each
@@ -32,8 +35,7 @@ use.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..ir.instructions import Op
 from ..ir.program import BASIS_VARS
@@ -43,15 +45,8 @@ from .fingerprint import CanonicalClasses
 #: loop is declared divergent (mirrors the interpreter's slack).
 LOOP_SLACK = 80
 
-#: CPython rejects sources beyond 100 indentation levels, and every
-#: honoured guard nests one ``if/else`` deeper.  Past this depth guards
-#: are dropped instead — they are optimisation hints, and executing a
-#: guarded span unconditionally is always safe.
-MAX_GUARD_DEPTH = 40
-
-#: One indentation level of the generated source.  Guards nest up to
-#: MAX_GUARD_DEPTH deep, and one column per level keeps the source —
-#: which every resident kernel holds — a third of its 4-column size.
+#: One indentation level of the generated source: one column per level
+#: keeps the source, which every resident kernel holds, small.
 INDENT = " "
 
 #: Schema version of the generated source; bump on any change to the
@@ -59,7 +54,8 @@ INDENT = " "
 #: 2: CC parameter slots deduplicated + hoisted into prologue temps.
 #: 3: kernels over Python ints instead of uint64 word arrays.
 #: 4: class streams read from a shared class table (``T[P[j]]``).
-CODEGEN_VERSION = 4
+#: 5: no zero guards, no guard counters.
+CODEGEN_VERSION = 5
 
 _BINOPS = {Op.AND.value: "&", Op.OR.value: "|", Op.XOR.value: "^"}
 
@@ -90,19 +86,13 @@ class _Emitter:
     streams owned elsewhere, never freed here."""
 
     def __init__(self, canonical, bound: List[str]):
-        self.canonical = canonical
         self.lines: List[str] = []
         self.consts_used: Set[str] = set()
         self.loop_id = 0
         self.loop_depth = 0
-        self.guards = 0
         self.loop_preinit: Set[str] = set()
         self._defined: Set[str] = set()
         _, body, outputs = canonical.tokens
-        #: variable -> reads anywhere in the program, outputs included
-        self._reads: Counter = Counter(outputs)
-        for token in body:
-            self._reads.update(_token_reads(token))
         #: top-level token index -> variables read there for the last
         #: time; see :func:`_last_reads`
         self._dead_after = _last_reads(body, set(outputs) | set(bound))
@@ -160,17 +150,9 @@ class _Emitter:
                 self.loop_preinit.add(dest)
                 self.consts_used.add("Z")
 
-    def emit_block(self, tokens, depth: int, start: int = 0,
-                   stop: Optional[int] = None) -> None:
-        """Emit ``tokens[start:stop]``."""
-        stop = len(tokens) if stop is None else stop
-        index = start
-        while index < stop:
-            token = tokens[index]
+    def emit_block(self, tokens, depth: int) -> None:
+        for index, token in enumerate(tokens):
             kind = token[0]
-            if kind == "guard":
-                index = self.emit_guard(tokens, index, stop, depth)
-                continue
             if kind == "instr":
                 self.emit_instr(token, depth)
             elif kind == "while":
@@ -178,7 +160,6 @@ class _Emitter:
             else:
                 raise CompileError(f"unknown token {kind!r}")
             self.emit_deletions(index, depth)
-            index += 1
 
     def emit_while(self, token, depth: int) -> None:
         _, cond, body = token
@@ -195,66 +176,15 @@ class _Emitter:
         self.loop_depth -= 1
         self.emit(f"_stats.loop_log.append(({loop}, _n{loop}))", depth)
 
-    def emit_guard(self, tokens, index: int, stop: int, depth: int) -> int:
-        """Emit the guard at ``tokens[index]``; returns the index after
-        its span (clipped to the enclosing span's ``stop``)."""
-        _, cond, skip_count = tokens[index]
-        if not self.canonical.honour_guards or depth >= MAX_GUARD_DEPTH:
-            # Guards are pure optimisation hints; executing the range
-            # despite a zero condition never changes results.
-            self.emit_deletions(index, depth)
-            return index + 1
-        end = min(index + 1 + skip_count, stop)
-        self.guards += 1
-        self.consts_used.add("Z")
-        self.emit("_checks += 1", depth)
-        self.emit(f"if not {cond}:", depth)
-        self.emit("_hits += 1", depth + 1)
-        self.emit_deletions(index, depth + 1)
-        # Skipped definitions are provably zero (guard validation).
-        zeroed = self._live_definitions(tokens[index + 1:end])
-        if zeroed:
-            self.emit(" = ".join(zeroed) + " = Z", depth + 1)
-        self.emit("else:", depth)
-        emitted = len(self.lines)
-        self.emit_deletions(index, depth + 1)
-        self.emit_block(tokens, depth + 1, index + 1, end)
-        if len(self.lines) == emitted:
-            # The span held only class streams, which the table
-            # computes: the check (and its counters) stays, the empty
-            # branch goes.
-            self.lines.pop()
-        return end
-
-    def _live_definitions(self, span) -> List[str]:
-        """Variables ``span`` defines whose skipped value (zero) can be
-        observed: read outside the span, or read inside it at or before
-        its first definition there (a loop's next iteration sees the
-        zero).  The rest are dead when the span is skipped and are not
-        assigned."""
-        reads: Counter = Counter()
-        defined: Dict[str, None] = {}
-        read_first = set()
-        for token in span:
-            for name in _token_reads(token):
-                reads[name] += 1
-                if name not in defined:
-                    read_first.add(name)
-            if token[0] == "instr":
-                defined.setdefault(token[2])
-        return [name for name in defined
-                if name in read_first or self._reads[name] > reads[name]]
-
 
 def _token_reads(token) -> List[str]:
-    """Every variable ``token`` reads: operands, a loop's or guard's
-    condition, and everything a loop body reads."""
+    """Every variable ``token`` reads: operands, a loop's condition,
+    and everything a loop body reads."""
     if token[0] == "instr":
         return list(token[3])
     reads = [token[1]]
-    if token[0] == "while":
-        for inner in token[2]:
-            reads += _token_reads(inner)
+    for inner in token[2]:
+        reads += _token_reads(inner)
     return reads
 
 
@@ -263,9 +193,8 @@ def _last_reads(body, keep) -> Dict[int, List[str]]:
     time, those in ``keep`` excepted.  Everything a loop reads counts at
     the loop's index (its next iteration may read it again), so a stream
     dies after the last top-level token that reads it.  Deleting there
-    frees it on every path that reaches it: a variable a skipped guard
-    span would have defined is zeroed when read later, and one first
-    defined in a loop is pre-initialised."""
+    frees it on every path that reaches it: a variable first defined in
+    a loop is pre-initialised."""
     last = {name: index for index, token in enumerate(body)
             for name in _token_reads(token)}
     dead: Dict[int, List[str]] = {}
@@ -286,7 +215,6 @@ def generate_source(canonical, name: str = "_kernel") -> str:
 
     outputs = canonical.tokens[2]
     consts = [_CONST_INIT[const] for const in sorted(emitter.consts_used)]
-    epilogue = []
     if classes:
         head = f"def {name}(S):"
         prologue = [", ".join(bound) + " = S.planes"] + consts
@@ -296,13 +224,8 @@ def generate_source(canonical, name: str = "_kernel") -> str:
         prologue += [f"{var} = T[P[{slot}]]"
                      for slot, var in enumerate(bound)]
         prologue += [f"{var} = Z" for var in sorted(emitter.loop_preinit)]
-        if emitter.guards:
-            # Guard counters live in locals and reach the stats once.
-            prologue.append("_checks = _hits = 0")
-            epilogue = ["_stats.guard_checks += _checks",
-                        "_stats.guard_hits += _hits"]
-    epilogue.append(f"return ({', '.join(outputs)}{',' if outputs else ''})")
+    epilogue = f"return ({', '.join(outputs)}{',' if outputs else ''})"
     return "\n".join([head]
                      + [INDENT + line for line in prologue]
                      + (emitter.lines or [INDENT + "pass"])
-                     + [INDENT + line for line in epilogue]) + "\n"
+                     + [INDENT + epilogue]) + "\n"

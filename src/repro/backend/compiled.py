@@ -244,17 +244,18 @@ class CompiledProgram:
         return self.run_words(runtime.KernelInput.of(data))
 
 
-def compile_group(programs: Sequence[Program], honour_guards: bool = False,
-                  cache: Optional[KernelCache] = None
-                  ) -> List[CompiledProgram]:
+def compile_group(programs: Sequence[Program],
+                  cache: Optional[KernelCache] = None, *,
+                  honour_guards: bool = False) -> List[CompiledProgram]:
     """Lower ``programs`` to their cached kernels, bound to one shared
-    class table."""
+    class table.  Kernels run every guarded span, so ``honour_guards``
+    is accepted for older callers and ignored."""
     store = cache if cache is not None else _GLOBAL_CACHE
     recipes: Dict[int, Tuple] = {}
     index: Dict[int, int] = {}
     bound = []
     for program in programs:
-        canonical = canonicalize(program, honour_guards, recipes)
+        canonical = canonicalize(program, recipes)
         params = tuple(index.setdefault(key, len(index))
                        for key in canonical.slot_keys)
         bound.append((program, store.get_or_compile(canonical), params))
@@ -265,9 +266,9 @@ def compile_group(programs: Sequence[Program], honour_guards: bool = False,
             for program, kernel, params in bound]
 
 
-def compile_program(program: Program, honour_guards: bool = False,
+def compile_program(program: Program,
                     cache: Optional[KernelCache] = None
                     ) -> CompiledProgram:
     """Lower one program to its cached kernel and a one-program class
     table."""
-    return compile_group([program], honour_guards, cache)[0]
+    return compile_group([program], cache)[0]

@@ -14,10 +14,11 @@ kernels run over ints, so outputs are converted where a kernel is left.
 
 Compiled execution produces bit-identical output streams but does not
 *simulate* the schedule, so the metrics here are estimates: compute-side
-counters (word ops, loop iterations, guard hits, DRAM for inputs and
-outputs) are derived from the program and the kernel's dynamic stats;
-schedule-fidelity counters (barriers, shared memory, recomputation) are
-left to the simulating executors.
+counters (word ops, loop iterations, DRAM for inputs and outputs) are
+derived from the program and the kernel's dynamic stats.  Compiled
+engines run no zero guards and plan no barriers, so schedule-fidelity
+counters (guard checks and hits, barriers, shared memory,
+recomputation) stay zero here and are left to the simulating executors.
 """
 
 from __future__ import annotations
@@ -128,8 +129,6 @@ def estimate_metrics(program: Program, geometry: CTAGeometry, length: int,
         metrics.loop_iterations += iterations
 
     metrics.thread_word_ops = weight * words
-    metrics.guard_checks = stats.guard_checks
-    metrics.guard_hits = stats.guard_hits
     metrics.fused_loops = 1  # the whole program is one fused kernel
     metrics.blocks_processed = geometry.block_count(length)
     metrics.output_bits = length * len(program.outputs)

@@ -13,24 +13,25 @@ Canonicalisation splits a program in two.
   per input however many groups read it.  START and END depend on
   position and stay in the kernel.
 * **The kernel body** is everything else.  A class stream it reads —
-  an operand, a loop or guard condition, an output — becomes a
-  parameter slot ``c<j>`` (equal keys share one slot); a MATCH_CC left
-  in the body (in a loop, or reassigned) copies its class's slot.
-  Guard skip counts are recounted over the statements that remain.
-  Computing a class stream a skipped guard span would have zeroed is
-  safe because guards are validated (:mod:`repro.core.zeroskip`): a
-  span's definitions are provably zero under its condition, or dead
-  after it.
+  an operand, a loop condition, an output — becomes a parameter slot
+  ``c<j>`` (equal keys share one slot); a MATCH_CC left in the body (in
+  a loop, or reassigned) copies its class's slot.
+
+``SkipGuard`` statements are dropped.  They are hints: guard validation
+(:mod:`repro.core.zeroskip`) only lets a span skip definitions that are
+provably zero under its condition or dead after it, so running every
+span is always safe.  A guarded program and its unguarded form share
+one kernel.
 
 Two programs share one compiled kernel exactly when their kernel
 bodies are equal after renaming every other variable ``v<i>`` in
 first-appearance order; slot keys stay out of the fingerprint.
 Everything that changes the *generated code* stays in: opcodes and
-operand structure, shift distances, const kinds, loop nesting, guard
-placement and skip counts, output arity, and whether guards are
-honoured.  The paper's NVRTC path caches compiled PTX per specialised
-kernel; this is the same move one level up — repeated harness cells
-and structurally repeated regex groups pay zero recompilation.
+operand structure, shift distances, const kinds, loop nesting and
+output arity.  The paper's NVRTC path caches compiled PTX per
+specialised kernel; this is the same move one level up — repeated
+harness cells and structurally repeated regex groups pay zero
+recompilation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from collections import Counter
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.instructions import (CONST_ONES, CONST_TEXT, CONST_ZERO, Instr,
@@ -74,17 +74,14 @@ class CanonicalProgram:
     """A program's kernel body over canonical names, plus its slots:
     the class-stream keys it reads, in slot order."""
 
-    __slots__ = ("tokens", "var_map", "slot_keys", "digest",
-                 "honour_guards")
+    __slots__ = ("tokens", "var_map", "slot_keys", "digest")
 
     def __init__(self, tokens: Tuple, var_map: Dict[str, str],
-                 slot_keys: List[int], honour_guards: bool):
+                 slot_keys: List[int]):
         self.tokens = tokens
         self.var_map = var_map
         self.slot_keys = slot_keys
-        self.honour_guards = honour_guards
-        payload = repr((tokens, honour_guards)).encode()
-        self.digest = hashlib.sha256(payload).hexdigest()
+        self.digest = hashlib.sha256(repr(tokens).encode()).hexdigest()
 
     @property
     def slot_names(self) -> List[str]:
@@ -183,7 +180,7 @@ def _match_cc_key(cc, recipes: Recipes) -> int:
     return _class_streams(builder.program, recipes)[var]
 
 
-def canonicalize(program: Program, honour_guards: bool = False,
+def canonicalize(program: Program,
                  recipes: Optional[Recipes] = None) -> CanonicalProgram:
     """Canonical form of ``program`` (see module docstring).  The
     recipes of its class streams are registered in ``recipes`` — pass
@@ -217,14 +214,11 @@ def canonicalize(program: Program, honour_guards: bool = False,
         return mapped
 
     def visit(stmts: Sequence[Stmt]) -> Tuple:
-        keep = [not (isinstance(stmt, Instr) and stmt.dest in classes)
-                for stmt in stmts]
-        kept_before = list(accumulate(keep, initial=0))
         tokens = []
-        for index, stmt in enumerate(stmts):
-            if not keep[index]:
-                continue
+        for stmt in stmts:
             if isinstance(stmt, Instr):
+                if stmt.dest in classes:
+                    continue
                 op, args = stmt.op, stmt.args
                 if op is Op.MATCH_CC:
                     op, args = Op.COPY, (slot(_match_cc_key(stmt.cc,
@@ -235,23 +229,19 @@ def canonicalize(program: Program, honour_guards: bool = False,
                                stmt.shift, stmt.const))
             elif isinstance(stmt, WhileLoop):
                 tokens.append(("while", read(stmt.cond), visit(stmt.body)))
-            elif isinstance(stmt, SkipGuard):
-                end = min(index + 1 + stmt.skip_count, len(stmts))
-                tokens.append(("guard", read(stmt.cond),
-                               kept_before[end] - kept_before[index + 1]))
-            else:
+            elif not isinstance(stmt, SkipGuard):   # guards are dropped
                 raise TypeError(f"unknown statement {stmt!r}")
         return tuple(tokens)
 
     body = visit(program.statements)
     outputs = tuple(read(var) for var in program.outputs.values())
     return CanonicalProgram(("program", body, outputs), var_map,
-                            slot_keys, honour_guards)
+                            slot_keys)
 
 
-def fingerprint(program: Program, honour_guards: bool = False) -> str:
+def fingerprint(program: Program) -> str:
     """Stable hex digest of a program's compiled-kernel identity."""
-    return canonicalize(program, honour_guards).digest
+    return canonicalize(program).digest
 
 
 def cache_key(digest: str) -> str:

@@ -79,11 +79,9 @@ def to_words(value: int, length: int) -> np.ndarray:
 class KernelStats:
     """Dynamic counters one kernel invocation reports back."""
 
-    __slots__ = ("loop_log", "guard_checks", "guard_hits")
+    __slots__ = ("loop_log",)
 
     def __init__(self):
         #: (loop_id, iterations), appended in loop-completion order —
         #: the same order the reference interpreter records.
         self.loop_log = []
-        self.guard_checks = 0
-        self.guard_hits = 0

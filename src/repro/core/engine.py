@@ -2,14 +2,22 @@
 
 Mirrors the paper's workflow (Figure 4): regexes are partitioned into
 balanced groups (Section 7), each group is lowered to one bitstream
-program, the per-scheme transformation pipeline is applied (Shift
-Rebalancing, Zero Block Skipping, barrier planning), and at match time
-each program executes as one simulated CTA, producing match results
-plus the kernel metrics the benchmarks report.
+program and optimized, and at match time each program executes as one
+CTA, producing match results plus the kernel metrics the benchmarks
+report.
+
+The backend decides what a group compiles to.  On the simulate
+backend the per-scheme GPU transforms follow (Shift Rebalancing, Zero
+Block Skipping, barrier planning) and each program runs as one
+simulated CTA.  A compiled engine stops after optimizing: its kernel is
+one Python-int function with no barriers to cut, and it could skip
+only when a whole stream is zero, so those transforms cost compile
+time and buy nothing.
 
 Tuning knobs follow Section 7's parameter setup: ``scheme`` (the
 Table 3 ladder), ``merge_size``, ``interval_size``, ``cta_count``, and
-the CTA geometry.
+the CTA geometry.  ``scheme``, ``merge_size`` and ``interval_size``
+choose the simulated schedule only.
 """
 
 from __future__ import annotations
@@ -65,7 +73,10 @@ class CompiledGroup:
     """One CTA's compiled artefact."""
 
     group: RegexGroup
+    #: what the group runs: on a compiled engine exactly the program its
+    #: kernel is generated from
     program: Program
+    #: None on compiled engines and unplanned schemes
     barrier_plan: Optional[BarrierPlan] = None
     #: merged per-pass optimizer accounting (pre- and post-rebalance
     #: pipeline runs); None when compiled at opt_level 0.
@@ -235,11 +246,12 @@ class BitGenEngine(Engine):
         same program wherever the patterns sit in the rule set, which
         is what incremental recompilation
         (:mod:`repro.core.incremental`) reuses across set diffs.
+
+        A compiled engine's group is lowered and optimized, then it
+        stops: no rebalancing, no guards, no barrier plan, whatever the
+        scheme (see the module docstring).
         """
         level = config.opt_level
-        scheme = config.scheme
-        geometry = config.geometry if config.geometry is not None \
-            else DEFAULT_GEOMETRY
         names = [f"R{local}" for local in range(len(members))]
         # opt_level=0 compiles the raw syntax-directed
         # translation: no construction-time value numbering, no
@@ -250,6 +262,14 @@ class BitGenEngine(Engine):
                       regexes=len(members)):
             program = lower_group(members, names=names,
                                   value_number=level > 0)
+        if config.backend == "compiled":
+            program, report = optimize_pipeline(
+                program, level, passes=cls._roster(level, config.factor))
+            return CompiledGroup(group, program, None,
+                                 report if level > 0 else None)
+        scheme = config.scheme
+        geometry = config.geometry if config.geometry is not None \
+            else DEFAULT_GEOMETRY
         program, report = cls._transform(
             program, scheme, level, config.interval_size,
             factor=config.factor)
@@ -260,15 +280,29 @@ class BitGenEngine(Engine):
         return CompiledGroup(group, program, plan, report)
 
     @staticmethod
+    def _roster(level: int, factor: bool, zero_skipping: bool = False):
+        """The optimizer passes of the first (pre-guard) rounds: level
+        2 without CSE for zero-skipping schemes, the full level-2
+        roster otherwise, plus cross-pattern prologue factoring
+        (:func:`~repro.ir.passes.factor_prologue`) when ``factor`` is
+        set; None (the level's default roster) below level 2."""
+        if level < 2:
+            return None
+        roster = LEVEL2_PREGUARD_PASSES if zero_skipping \
+            else LEVEL2_PASSES
+        return roster + (("factor", factor_prologue),) if factor \
+            else roster
+
+    @staticmethod
     def _transform(program: Program, scheme: Scheme, level: int,
                    interval_size: int, factor: bool = True
                    ) -> "tuple[Program, Optional[PipelineReport]]":
-        """The per-scheme transformation pipeline.  The optimizer runs
-        twice — on the lowered program and again after Shift
-        Rebalancing (whose region restructuring mints fresh names the
-        builder never value-numbered) — and always before guard
-        insertion, so no pass has to reason about live ``SkipGuard``
-        spans on this path.
+        """The simulate backend's per-scheme transformation pipeline.
+        The optimizer runs twice — on the lowered program and again
+        after Shift Rebalancing (whose region restructuring mints fresh
+        names the builder never value-numbered) — and always before
+        guard insertion, so no pass has to reason about live
+        ``SkipGuard`` spans on this path.
 
         Zero-skipping schemes defer CSE until after guard insertion:
         global CSE merges subexpressions across zero paths, which
@@ -277,18 +311,10 @@ class BitGenEngine(Engine):
         workloads).  Post-guard CSE never registers facts inside a
         guard span, so sharing cannot cross a skip region.
 
-        ``factor`` adds cross-pattern prologue factoring
-        (:func:`~repro.ir.passes.factor_prologue`) to the pre-guard
-        rounds at level >= 2; the pass refuses guarded programs, so the
-        post-guard run never includes it."""
-        pre = None
-        if level >= 2:
-            pre = LEVEL2_PREGUARD_PASSES if scheme.zero_skipping \
-                else LEVEL2_PASSES
-            if factor:
-                pre = pre + (("factor", factor_prologue),)
-            elif not scheme.zero_skipping:
-                pre = None  # the default roster, unmodified
+        ``factor`` adds prologue factoring to the pre-guard rounds at
+        level >= 2 (:meth:`_roster`); the pass refuses guarded
+        programs, so the post-guard run never includes it."""
+        pre = BitGenEngine._roster(level, factor, scheme.zero_skipping)
         program, report = optimize_pipeline(program, level, passes=pre)
         if scheme.rebalanced:
             program = rebalance_program(program)
@@ -440,8 +466,7 @@ class BitGenEngine(Engine):
             from ..backend import compile_group
 
             self._compiled_group_cache = compile_group(
-                [c.program for c in self.groups],
-                honour_guards=self.scheme.zero_skipping)
+                [c.program for c in self.groups])
         return self._compiled_group_cache
 
     def build_kernels(self) -> None:

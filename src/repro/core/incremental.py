@@ -64,12 +64,19 @@ class UpdateReport:
                 "seconds": self.seconds}
 
 
+def _members(nodes: Sequence[ast.Regex],
+             group: RegexGroup) -> Tuple[ast.Regex, ...]:
+    """The reuse key of one group: its member ASTs, in order.  AST
+    nodes compare and hash structurally, so equal keys mean the members
+    lower to the identical program under local naming."""
+    return tuple(nodes[i] for i in group.indices)
+
+
 def group_signature(nodes: Sequence[ast.Regex],
                     group: RegexGroup) -> Tuple[str, ...]:
-    """The reuse key of one group: its member ASTs, in order.  AST
-    ``repr`` is value-based (structural), so equal signatures mean the
-    members lower to the identical program under local naming."""
-    return tuple(repr(nodes[i]) for i in group.indices)
+    """A group's reuse key in printable form: each member's ``repr``,
+    which is value-based like the nodes' equality."""
+    return tuple(repr(node) for node in _members(nodes, group))
 
 
 def update_engine(engine: BitGenEngine,
@@ -99,17 +106,17 @@ def update_engine(engine: BitGenEngine,
         groups = group_regexes(nodes, cta_count,
                                strategy=config.grouping)
 
-        donors: Dict[Tuple[str, ...], List[CompiledGroup]] = {}
+        donors: Dict[Tuple[ast.Regex, ...], List[CompiledGroup]] = {}
         if (engine._nodes is not None
                 and engine.config.compile_key() == config.compile_key()):
             for old in engine.groups:
-                sig = group_signature(engine._nodes, old.group)
-                donors.setdefault(sig, []).append(old)
+                donors.setdefault(_members(engine._nodes, old.group),
+                                  []).append(old)
 
         compiled: List[CompiledGroup] = []
         reused = 0
         for index, group in enumerate(groups):
-            pool = donors.get(group_signature(nodes, group))
+            pool = donors.get(_members(nodes, group))
             if pool:
                 donor = pool.pop()
                 # New RegexGroup (fresh global indices), old artefact:

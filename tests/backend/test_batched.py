@@ -10,7 +10,7 @@ import pytest
 from repro.backend import (basis_environment, compile_group,
                            compile_program, dispatch_words)
 from repro.core.engine import BitGenEngine
-from repro.core.schemes import Scheme
+from repro.core.schemes import SCHEME_LADDER, Scheme
 from repro.parallel.config import ScanConfig
 from repro.ir.interpreter import (Interpreter, make_environment,
                                   words_environment)
@@ -144,8 +144,7 @@ def test_cached_word_op_weights_match_a_fresh_walk():
     engine = BitGenEngine.compile(["a(bc)*d", "x+y"],
                                   config=ScanConfig(backend="compiled"))
     program = engine.groups[0].program
-    compiled = compile_program(
-        program, honour_guards=engine.scheme.zero_skipping)
+    compiled = compile_program(program)
     ops = []
     for data in (b"abcd", b"a" + b"bc" * 50 + b"d"):
         _, stats = compiled.run_data(data)
@@ -163,16 +162,33 @@ def test_cached_word_op_weights_match_a_fresh_walk():
     assert ops[0][0] != ops[1][0]
 
 
-def test_compiled_zbs_metrics_are_pinned():
-    """A ZBS compiled engine's estimated metrics on a fixed input,
-    pinned: class streams moving out of guarded spans into the class
-    table must not shift the dynamic counters (guard checks and hits,
-    loop trips) the kernels report."""
+def test_compiled_engines_are_scheme_independent():
+    """``scheme`` chooses the simulated schedule only: a compiled engine
+    lowers and optimizes, then stops, under every scheme of the ladder.
+    So the five compile to equal programs with no guards and no barrier
+    plan, and report equal matches and metrics; the estimated counters
+    are pinned."""
+    from repro.ir.instructions import SkipGuard, WhileLoop
+
+    def guards(stmts) -> int:
+        return sum(1 if isinstance(stmt, SkipGuard)
+                   else guards(stmt.body) if isinstance(stmt, WhileLoop)
+                   else 0 for stmt in stmts)
+
     patterns = ["a(bc)*d", "x+y", "cat|dog", "[0-9]{2,4}z", "ab[^\n]*cd",
                 "GET /[a-z]+", "\x00\xff+", "qu[aeiou]te", "zz(top)?s"]
     data = (b"abcbcd cat abqqcd dog\n\x80bd ab\ncd a\xffbd catalog ") * 7
-    engine = BitGenEngine.compile(patterns, config=ScanConfig(
-        scheme=Scheme.ZBS, backend="compiled", cta_count=3))
-    metrics = engine.scan(data).metrics
+    runs = []
+    for scheme in SCHEME_LADDER:
+        engine = BitGenEngine.compile(patterns, config=ScanConfig(
+            scheme=scheme, backend="compiled", cta_count=3))
+        assert all(group.barrier_plan is None for group in engine.groups)
+        assert not any(guards(group.program.statements)
+                       for group in engine.groups)
+        report = engine.scan(data)
+        runs.append(([group.program for group in engine.groups],
+                     report.matches, report.metrics))
+    assert all(run == runs[0] for run in runs[1:])
+    metrics = runs[0][2]
     assert (metrics.thread_word_ops, metrics.loop_iterations,
-            metrics.guard_checks, metrics.guard_hits) == (3780, 14, 60, 7)
+            metrics.guard_checks, metrics.guard_hits) == (3790, 14, 0, 0)

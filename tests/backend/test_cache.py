@@ -1,6 +1,6 @@
 """Kernel cache keying: structural equality shares a code object,
-semantic differences (shift distances, guard mode) do not, and byte
-constants are parameters rather than part of the key.
+semantic differences (shift distances) do not, and byte constants and
+zero guards are not part of the key.
 """
 
 import pytest
@@ -88,10 +88,17 @@ def test_variable_names_are_canonicalised():
     assert left.kernel is right.kernel
 
 
-def test_honour_guards_is_part_of_the_key():
-    program = _literal_program("abc")
-    assert canonicalize(program, honour_guards=True).digest != \
-        canonicalize(program, honour_guards=False).digest
+def test_guards_are_not_part_of_the_key():
+    """Kernels run every guarded span, so canonicalisation drops
+    ``SkipGuard``s: a guarded program shares its unguarded form's
+    kernel."""
+    from repro.core.zeroskip import insert_guards
+    from repro.ir.instructions import SkipGuard
+
+    program = _literal_program("abcdef")
+    guarded = insert_guards(program, interval=1)
+    assert any(isinstance(stmt, SkipGuard) for stmt in guarded.statements)
+    assert canonicalize(guarded).digest == canonicalize(program).digest
 
 
 def test_multibyte_match_cc_matches_interpreter():
