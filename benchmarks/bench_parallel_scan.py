@@ -11,8 +11,8 @@ worker count.
 Two input shapes are measured:
 
 * **large** — 24 streams of 16-64KB (≈1MB total), above the
-  ``min_parallel_bytes`` threshold, so workers genuinely dispatch
-  through the zero-copy shared-memory path on a persistent warm pool;
+  ``min_parallel_bytes`` threshold, so workers genuinely dispatch on
+  a persistent warm pool, each shard carrying its streams' bytes;
 * **small** — the original 48 tiny streams (≈60KB total) that an
   earlier revision showed running 2.4-2.7x *slower* through process
   workers than serially.  With the threshold in place the same config

@@ -29,7 +29,7 @@ from .engines.re2 import RE2Engine
 from .api import load_patterns_file
 from .parallel.config import (BACKENDS, EXECUTORS, GROUPINGS,
                               ON_FAULT_POLICIES, PREFILTER_IMPLS,
-                              SHARD_POLICIES, START_METHODS, ScanConfig)
+                              START_METHODS, ScanConfig)
 
 ENGINES = {
     "bitgen": BitGenEngine,
@@ -118,7 +118,6 @@ def build_scan_parser() -> argparse.ArgumentParser:
                         help="process-pool start method (default: "
                              "$REPRO_PARALLEL_START_METHOD, else fork "
                              "where available)")
-    parser.add_argument("--shard", choices=SHARD_POLICIES, default="auto")
     parser.add_argument("--backend", choices=BACKENDS, default="simulate",
                         help="simulate (default) also models the GPU "
                              "schedule behind the paper's metrics; "
@@ -155,7 +154,7 @@ def scan_main(argv: List[str]) -> int:
     config = ScanConfig(scheme=Scheme[args.scheme], backend=args.backend,
                         workers=args.workers, executor=args.executor,
                         start_method=args.start_method,
-                        shard=args.shard, loop_fallback=True,
+                        loop_fallback=True,
                         grouping=args.grouping,
                         prefilter=args.prefilter,
                         prefilter_impl=args.prefilter_impl,

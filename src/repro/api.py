@@ -156,11 +156,17 @@ class Matcher:
     def scan_many(self, streams: Sequence[bytes],
                   config: Optional[ScanConfig] = None,
                   **knobs) -> List[ScanReport]:
-        """Scan several independent inputs, one report each."""
+        """Scan several independent inputs, one report each.  Every
+        report carries the dispatch's mode and all of its shard
+        faults, as ``repro scan`` prints them."""
         effective = resolve_knobs(config or self.config, knobs) \
             if (config is not None or knobs) else None
-        results = self._engine.match_many(streams, config=effective)
-        return [result.report() for result in results]
+        engine = self._engine
+        results = engine.match_many(streams, config=effective)
+        return [ScanReport.from_result(result,
+                                       faults=engine.last_scan_faults,
+                                       dispatch=engine.last_dispatch)
+                for result in results]
 
     def stream(self, config: Optional[ScanConfig] = None, **knobs):
         """A chunked :class:`~repro.core.streaming.StreamingMatcher`

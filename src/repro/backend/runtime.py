@@ -7,7 +7,7 @@ stream each and a zero test is O(1).
 
 Code outside the kernels passes and reads the ``(8, W)`` little-endian
 ``uint64`` word layout of :class:`~repro.bitstream.npvector.NPBitVector`
-— basis environments, dispatch outputs, shared-memory shard payloads.
+— basis environments and dispatch outputs.
 This module converts between the two only where a kernel is entered
 (:class:`KernelInput`) and left (:func:`to_words`).
 

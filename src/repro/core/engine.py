@@ -526,6 +526,7 @@ class BitGenEngine(Engine):
                 self.last_dispatch = "serial-small-input"
             else:
                 self.last_dispatch = "serial"
+            self.last_scan_faults = []
             _SCAN_DISPATCH.inc(dispatch=self.last_dispatch)
             return [self.match(stream, config=effective)
                     for stream in streams]
@@ -552,11 +553,13 @@ class BitGenEngine(Engine):
                         dispatch="parallel")
                 else:
                     self.last_dispatch = "serial-small-input"
+                    self.last_scan_faults = []
                     report = ScanReport.from_result(
                         self.match(data, config=effective),
                         dispatch="serial-small-input")
             else:
                 self.last_dispatch = "serial"
+                self.last_scan_faults = []
                 report = self.match(data, config=effective).report()
             if sp.is_recording:
                 sp.set(dispatch=self.last_dispatch)

@@ -12,9 +12,8 @@ report types; the pool, dispatcher, and disk cache load on first use.
 """
 
 from .config import (BACKENDS, EXECUTORS, ON_FAULT_POLICIES,
-                     SHARD_POLICIES, START_METHOD_ENV,
-                     START_METHODS, ScanConfig, default_start_method,
-                     reject_legacy_kwargs)
+                     START_METHOD_ENV, START_METHODS, ScanConfig,
+                     default_start_method, reject_legacy_kwargs)
 from .report import ScanReport, ShardFault
 
 __all__ = [
@@ -23,12 +22,10 @@ __all__ = [
     "EXECUTORS",
     "ON_FAULT_POLICIES",
     "ParallelScanner",
-    "SHARD_POLICIES",
     "START_METHODS",
     "START_METHOD_ENV",
     "ScanConfig",
     "ScanReport",
-    "SharedArena",
     "ShardFault",
     "WorkerPool",
     "breaker",
@@ -48,7 +45,6 @@ __all__ = [
 _LAZY = {
     "DiskKernelCache": ("diskcache", "DiskKernelCache"),
     "default_cache_dir": ("diskcache", "default_cache_dir"),
-    "SharedArena": ("shm", "SharedArena"),
     "WorkerPool": ("pool", "WorkerPool"),
     "breaker": ("pool", "breaker"),
     "pool_stats": ("pool", "pool_stats"),

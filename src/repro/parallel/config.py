@@ -6,8 +6,8 @@ Every public entry point — :func:`repro.compile`, :func:`repro.scan`,
 :class:`repro.perf.harness.Harness`, and the ``python -m repro scan``
 CLI — accepts one :class:`ScanConfig` carrying the compile-time knobs
 (scheme ladder, merge/interval sizes, CTA geometry, backend) and the
-dispatch-time knobs (worker count, shard policy, executor kind, kernel
-cache directory).  The scattered positional kwargs those entry points
+dispatch-time knobs (worker count, executor kind, kernel cache
+directory).  The scattered positional kwargs those entry points
 grew over PRs 0–2 were deprecated for one release and are now
 rejected with a migration hint (:func:`reject_legacy_kwargs`).
 
@@ -29,12 +29,11 @@ from ..gpu.config import CPUConfig, GPUConfig
 from ..gpu.machine import CTAGeometry
 
 BACKENDS = ("simulate", "compiled")
-SHARD_POLICIES = ("auto", "stream", "group")
 #: grouping strategies (see :func:`repro.core.grouping.group_regexes`)
 GROUPINGS = ("balanced", "round_robin", "fingerprint")
 #: literal-gate implementations (see :mod:`repro.core.prefilter`)
 PREFILTER_IMPLS = ("screen", "ac")
-EXECUTORS = ("process", "thread", "serial")
+EXECUTORS = ("process", "thread")
 START_METHODS = ("fork", "spawn", "forkserver")
 #: fault-handling policy vocabulary (see :mod:`repro.resilience`)
 ON_FAULT_POLICIES = ("degrade", "retry", "fail")
@@ -98,7 +97,6 @@ class ScanConfig:
 
     # -- parallel dispatch -------------------------------------------------
     workers: int = 1
-    shard: str = "auto"
     executor: str = "process"
     #: process-pool start method; ``None`` resolves through
     #: ``$REPRO_PARALLEL_START_METHOD`` and then the platform default
@@ -106,11 +104,6 @@ class ScanConfig:
     #: by the resolved value, so two configs differing only here get
     #: separate pools.
     start_method: Optional[str] = None
-    #: ship shard payloads (each input's basis words, transposed by
-    #: the parent) through ``multiprocessing.shared_memory`` instead of
-    #: pickling them into process workers.  Ignored for thread/serial executors,
-    #: which already share the parent's memory.
-    shared_memory: bool = True
     worker_timeout: Optional[float] = None
     cache_dir: Optional[str] = None
 
@@ -142,9 +135,6 @@ class ScanConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"expected one of {BACKENDS}")
-        if self.shard not in SHARD_POLICIES:
-            raise ValueError(f"unknown shard policy {self.shard!r}; "
-                             f"expected one of {SHARD_POLICIES}")
         if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r}; "
                              f"expected one of {EXECUTORS}")

@@ -1,18 +1,17 @@
 """Worker pools with graceful degradation — persistent and warm.
 
 :class:`WorkerPool` is the dispatch layer's only executor abstraction:
-a process pool for the CPU-bound compiled kernels, a thread pool when
-process start-up (or pickling) costs more than it buys, and a serial
-mode that is also the universal fallback.  The contract the sharded
-scanner relies on:
+a process pool or a thread pool, with inline execution in the parent
+as the universal fallback.  The contract the sharded scanner relies
+on:
 
 * results come back **in submission order** — merging stays trivial;
 * a worker crash, a timeout, or a broken/unstartable pool never loses
   a shard: the shard re-runs **in-process through the serial
   function**, and the incident is recorded as a
   :class:`~repro.parallel.report.ShardFault`;
-* ``workers=1`` (or ``executor="serial"``) bypasses pools entirely, so
-  the serial path stays the single source of truth for results.
+* ``workers=1`` bypasses pools entirely, so the serial path stays the
+  single source of truth for results.
 
 Executors are no longer built per dispatch.  A module-level registry
 keeps one **persistent pool** per ``(executor, workers, start_method)``
@@ -256,21 +255,14 @@ class WorkerPool:
 
     def map_shards(self, fn: Callable, payloads: Sequence,
                    serial_fn: Optional[Callable] = None,
-                   prepare: Optional[Callable] = None,
                    deadline: Optional[Deadline] = None
                    ) -> Tuple[List, List[ShardFault]]:
-        """``[fn(prepare(p)) for p in payloads]`` through the pool.
+        """``[fn(p) for p in payloads]`` through the pool.
 
         Returns ``(results, faults)`` with results in payload order.
         ``serial_fn`` (default ``fn``) recovers any shard whose worker
         faulted; a fault in the serial fallback itself propagates —
         at that point the failure is the workload's, not the pool's.
-
-        ``prepare`` (optional) maps each raw payload to the payload
-        actually submitted, and runs **interleaved with execution**:
-        shard N is prepared in the parent while shards < N already run
-        in workers.  The sharded scanner uses it to overlap the
-        transpose/pack stage with kernel execution.
 
         Fault handling follows ``config.on_fault``: ``"degrade"``
         recovers inline (the historical behaviour), ``"retry"`` first
@@ -291,16 +283,6 @@ class WorkerPool:
             deadline = Deadline.start(config.deadline_s)
         retry = RetryPolicy.from_config(config)
 
-        prepared: List = [None] * len(payloads)
-        ready = [False] * len(payloads)
-
-        def prep(index: int):
-            if not ready[index]:
-                prepared[index] = payloads[index] if prepare is None \
-                    else prepare(payloads[index])
-                ready[index] = True
-            return prepared[index]
-
         def run_inline(index: int, fallback: bool = False):
             """A shard run in this process, under its own span.  Chaos
             is suppressed for the recovery thread: inline degrade must
@@ -309,10 +291,9 @@ class WorkerPool:
             with obs.span("shard", category="scan", shard=index,
                           inline=True, fallback=fallback):
                 with chaos.suppress():
-                    return recover(prep(index))
+                    return recover(payloads[index])
 
-        if (self.workers == 1 or self.executor == "serial"
-                or len(payloads) <= 1):
+        if self.workers == 1 or len(payloads) <= 1:
             return [run_inline(i) for i in range(len(payloads))], []
 
         if not _BREAKER.allow():
@@ -343,7 +324,7 @@ class WorkerPool:
                     and not (deadline is not None
                              and deadline.expired())):
                 attempts, value = self._retry_shard(
-                    fn, prep(index), index, tracer, ctx, retry,
+                    fn, payloads[index], index, tracer, ctx, retry,
                     deadline)
                 if value is not _RETRY_FAILED:
                     faults.append(ShardFault(
@@ -372,15 +353,11 @@ class WorkerPool:
         broken = False
         try:
             try:
-                # Submission doubles as the overlap stage: prep(i)
-                # (transpose + shared-memory packing) for shard i runs
-                # while shards < i already execute in workers.  With a
-                # tracer recording, shards run through the span
+                # With a tracer recording, shards run through the span
                 # marshaller: same-process workers record directly,
                 # process workers ship their spans back for adoption.
                 pending = []
-                for index in range(len(payloads)):
-                    payload = prep(index)
+                for index, payload in enumerate(payloads):
                     if tracer is not None:
                         pending.append(executor.submit(
                             run_traced, fn, ctx, index, payload))
@@ -527,17 +504,6 @@ class WorkerPool:
                 thread_name_prefix="repro-shard")
         import multiprocessing
 
-        try:
-            from multiprocessing import resource_tracker
-
-            # Start the resource tracker BEFORE forking workers.  A
-            # worker forked with no tracker inherits none, spawns its
-            # own on its first shared-memory attach, and that private
-            # tracker — which never sees the parent's unregister —
-            # warns about "leaked" segments at exit.
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
         ctx = multiprocessing.get_context(
             self.config.resolved_start_method())
         return futures.ProcessPoolExecutor(

@@ -13,23 +13,17 @@ serial scan executes too, and the paper's unit (one group's fused
 program over one input, Section 3.1) never spans shards.
 
 * **Stream sharding** distributes single streams.  The parent gates
-  each stream once and transposes it once; each shard carries its
-  streams' basis words and active groups.
+  every stream before dispatch; each shard carries its streams' bytes
+  and active groups.
 * **Group sharding** distributes single groups, planned over the
-  prefilter-active groups only.  The parent gates and transposes the
-  input once; every group shard reads the same words.
+  prefilter-active groups only.  The parent gates the input once;
+  every group shard carries the input's bytes.
 
+Shard payloads are plain input bytes, as session payloads are: the
+worker transposes its input itself, exactly as a serial scan does (a
+transpose is about 1% of a scan; DESIGN.md, *Shard payloads*).
 Shards never gate, so each result carries the report of the parent's
 gate call over its own input.
-
-Process dispatch is **zero-copy**: instead of pickling word arrays into
-each worker, the parent transposes straight into one
-:class:`~repro.parallel.shm.SharedArena` segment per dispatch and ships
-only descriptors.  Stream-shard preparation (gate, transpose, pack)
-runs interleaved with execution (``WorkerPool.map_shards(prepare=...)``):
-shard N is prepared in the parent while shard N-1 executes in a worker.
-The arena is ref-counted and unlinked on every exit path (clean, worker
-fault, timeout, exception).
 
 Degradation: any worker fault re-runs that shard in-process through
 the identical shard task (see :class:`~repro.parallel.pool.WorkerPool`)
@@ -42,14 +36,12 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..backend.runtime import basis_environment, word_count
+from ..backend.runtime import basis_environment
 from ..resilience.deadline import Deadline
 from .config import ScanConfig
 from .pool import WorkerPool
 from .report import ScanReport, ShardFault
-from .shm import SharedArena
 from . import worker as worker_mod
-from .worker import ShardInput
 
 _SHARDS_DISPATCHED = obs.registry().counter(
     "repro_parallel_shards_total",
@@ -101,11 +93,6 @@ def plan_group_shards(engine, workers: int,
     return _distribute(units, workers)
 
 
-def _words_nbytes(input_bytes: int) -> int:
-    """Arena bytes one input's basis words take, alignment included."""
-    return 8 * word_count(input_bytes + 1) * 8 + 64
-
-
 # -- the dispatcher ----------------------------------------------------------
 
 
@@ -138,25 +125,6 @@ class ParallelScanner:
         self.engine.build_kernels()
         return cache_dir
 
-    def _arena(self, nbytes: int, tag: str) -> Optional[SharedArena]:
-        """A shared-memory arena for the dispatch's basis words, or
-        ``None`` when the words ride inline: only process workers live
-        in another address space."""
-        if self.config.executor == "process" and self.config.shared_memory:
-            return SharedArena(nbytes, tag=tag)
-        return None
-
-    @staticmethod
-    def _input(arena: Optional[SharedArena], data: bytes,
-               active: Optional[Sequence[int]] = None) -> ShardInput:
-        """Transpose ``data`` once — into ``arena`` when there is one —
-        as a shard carries it."""
-        words = basis_environment(data)
-        if arena is not None:
-            words = arena.put_array(words)
-        return ShardInput(len(data), words,
-                          None if active is None else tuple(active))
-
     # -- many streams, whole engine per shard -----------------------------
 
     def match_many(self, streams: Sequence[bytes]) -> List:
@@ -166,39 +134,20 @@ class ParallelScanner:
             return self.engine.match_many(streams,
                                           config=self.config.serial())
         _SHARDS_DISPATCHED.inc(len(plan), kind="stream")
-        # The deadline starts *before* arena sizing and shard prep:
-        # ScanConfig.deadline_s bounds the whole dispatch, not just
-        # the worker waits.
+        # The deadline starts *before* the gate: ScanConfig.deadline_s
+        # bounds the whole dispatch, not just the worker waits.
         deadline = Deadline.start(self.config.deadline_s)
-        arena = self._arena(sum(_words_nbytes(len(s)) for s in streams),
-                            tag="streams")
-        reports: List = [None] * len(streams)
-
-        def prepare(shard: List[int]):
-            """The overlap stage: gate and transpose one shard's
-            streams in the parent while earlier shards execute."""
-            inputs = []
-            with obs.span("shard.prepare", category="scan",
-                          streams=len(shard)):
-                for index in shard:
-                    active, reports[index] = self.engine.gate(
-                        streams[index], self.config)
-                    inputs.append(self._input(arena, streams[index],
-                                              active))
-            return (self.engine, tuple(inputs), self._cache_dir)
-
-        try:
-            with obs.span("scan.parallel", category="scan",
-                          kind="stream", shards=len(plan),
-                          workers=self.config.workers,
-                          executor=self.config.executor,
-                          zero_copy=arena is not None):
-                shard_results, self.faults = self.pool.map_shards(
-                    worker_mod.scan_streams, plan, prepare=prepare,
-                    deadline=deadline)
-        finally:
-            if arena is not None:
-                arena.release()
+        active, reports = zip(*(self.engine.gate(stream, self.config)
+                                for stream in streams))
+        payloads = [(self.engine,
+                     tuple((streams[i], active[i]) for i in shard),
+                     self._cache_dir)
+                    for shard in plan]
+        with obs.span("scan.parallel", category="scan", kind="stream",
+                      shards=len(plan), workers=self.config.workers,
+                      executor=self.config.executor):
+            shard_results, self.faults = self.pool.map_shards(
+                worker_mod.scan_streams, payloads, deadline=deadline)
         results = [None] * len(streams)
         for shard, shard_result in zip(plan, shard_results):
             for index, result in zip(shard, shard_result):
@@ -222,23 +171,13 @@ class ParallelScanner:
             result.prefilter = report
             return result
         _SHARDS_DISPATCHED.inc(len(plan), kind="group")
-        arena = self._arena(_words_nbytes(len(data)), tag="groups")
-        try:
-            # One transpose, shared by every group shard, as serial
-            # execution shares it among its groups.
-            shared = self._input(arena, data)
-            with obs.span("scan.parallel", category="scan",
-                          kind="group", shards=len(plan),
-                          workers=self.config.workers,
-                          executor=self.config.executor,
-                          zero_copy=arena is not None):
-                payloads = [(self.engine, shard, shared, self._cache_dir)
-                            for shard in plan]
-                shard_results, self.faults = self.pool.map_shards(
-                    worker_mod.scan_groups, payloads, deadline=deadline)
-        finally:
-            if arena is not None:
-                arena.release()
+        with obs.span("scan.parallel", category="scan", kind="group",
+                      shards=len(plan), workers=self.config.workers,
+                      executor=self.config.executor):
+            payloads = [(self.engine, shard, data, self._cache_dir)
+                        for shard in plan]
+            shard_results, self.faults = self.pool.map_shards(
+                worker_mod.scan_groups, payloads, deadline=deadline)
         result = self._merge_group_results(shard_results, len(data))
         result.prefilter = report
         return result

@@ -11,24 +11,25 @@ at spawn via :func:`init_worker` (the executor initializer), so even a
 worker's first shard starts warm.  A faulted shard is re-run in the
 parent through the same function.
 
-Shard payloads stay small: the engine's programs/plans pickle cheaply
-(compiled kernels are dropped by :meth:`BitGenEngine.__getstate__` and
-rebuilt through the disk cache — or inherited outright under the
-``fork`` start method), while the *bulk* — each input's basis words,
-transposed once by the parent — crosses as a :class:`ShardInput`,
-inline or as a :class:`~repro.parallel.shm.ShmArray` descriptor
-resolved zero-copy out of the parent's :class:`SharedArena` segment.
+Stream, group and session payloads share one shape: the engine, the
+shard's input bytes (with each stream's active groups, the group
+indices, or the session config) and the disk-cache directory.  The
+engine's programs/plans pickle cheaply (compiled kernels are dropped
+by :meth:`BitGenEngine.__getstate__` and rebuilt through the disk
+cache — or inherited outright under the ``fork`` start method), and
+the worker transposes each input itself
+(:func:`~repro.backend.basis_environment`) before
+:meth:`~repro.core.engine.BitGenEngine.match_words`, exactly as a
+serial scan does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..resilience import chaos
 from .report import ScanReport
-from .shm import ShmArray
 
 _CELLS_RUN = obs.registry().counter(
     "repro_worker_cells_total",
@@ -59,54 +60,38 @@ def init_worker(cache_dir: Optional[str] = None) -> None:
         pass
 
 
-# -- shard payloads ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardInput:
-    """One input as a shard carries it: its ``(8, W)`` basis words —
-    an array, or a descriptor of one in the parent's shared-memory
-    arena — and the groups to run on it (``None``: every group of the
-    shard's engine)."""
-
-    input_bytes: int
-    words: object
-    active: Optional[Tuple[int, ...]] = None
-
-    def basis(self):
-        """The basis words, resolved zero-copy out of shared memory."""
-        if isinstance(self.words, ShmArray):
-            return self.words.resolve()
-        return self.words
-
-
 # -- shard tasks -------------------------------------------------------------
 
 
 def scan_streams(payload) -> List:
-    """One stream shard: each of its inputs through
-    ``engine.match_words`` on its own active groups."""
+    """One stream shard: each of its ``(data, active)`` inputs through
+    ``engine.match_words`` on the groups the parent's gate left
+    active (``None``: every group)."""
+    from ..backend import basis_environment
+
     engine, inputs, cache_dir = payload
     chaos.maybe_inject("worker.stream")
     attach_disk_cache(cache_dir)
-    return [engine.match_words(unit.basis(), unit.input_bytes,
-                               active=unit.active)
-            for unit in inputs]
+    return [engine.match_words(basis_environment(data), len(data),
+                               active=active)
+            for data, active in inputs]
 
 
 def scan_groups(payload) -> Tuple:
     """One group shard: a sub-engine over some of the engine's
-    (prefilter-active) groups, run over the input's shared basis
-    words.  Returns ``(group_indices, result)``."""
+    (prefilter-active) groups, run over the whole input.  Returns
+    ``(group_indices, result)``."""
+    from ..backend import basis_environment
     from ..core.engine import BitGenEngine
 
-    engine, group_indices, unit, cache_dir = payload
+    engine, group_indices, data, cache_dir = payload
     chaos.maybe_inject("worker.group")
     attach_disk_cache(cache_dir)
     sub = BitGenEngine([engine.groups[i] for i in group_indices],
                        engine.pattern_count,
                        config=engine.config.serial())
-    return group_indices, sub.match_words(unit.basis(), unit.input_bytes)
+    return group_indices, sub.match_words(basis_environment(data),
+                                          len(data))
 
 
 def run_session(payload) -> ScanReport:

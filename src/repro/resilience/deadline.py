@@ -1,8 +1,8 @@
 """Scan-level deadlines.
 
 A :class:`Deadline` is one monotonic budget shared by everything a
-scan dispatch does — arena packing, pool acquisition, every per-shard
-wait, every retry backoff.  The dispatcher derives each blocking wait
+scan dispatch does — the parent's gate, pool acquisition, every
+per-shard wait, every retry backoff.  The dispatcher derives each blocking wait
 from :meth:`wait_budget`, so the *sum* of waits can never exceed the
 budget: a scan with ``deadline_s`` set stops blocking on workers at
 the deadline and finishes the stragglers inline (reported as

@@ -159,3 +159,38 @@ def test_clean_run_resets_faults(monkeypatch):
     monkeypatch.delenv(CHAOS_ENV)
     engine.match_many(STREAMS)
     assert engine.last_scan_faults == []
+
+
+def test_serial_dispatch_resets_faults(monkeypatch):
+    engine = build()
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
+    engine.match_many(STREAMS)
+    assert engine.last_scan_faults
+    serial = engine.config.serial()
+    engine.scan(DATA, config=serial)
+    assert engine.last_dispatch == "serial"
+    assert engine.last_scan_faults == []
+    engine.match_many(STREAMS)
+    engine.match_many(STREAMS, config=serial)
+    assert engine.last_scan_faults == []
+    engine.match_many(STREAMS)
+    engine.scan(DATA[:10], config=engine.config.replace(
+        min_parallel_bytes=len(DATA)))
+    assert engine.last_dispatch == "serial-small-input"
+    assert engine.last_scan_faults == []
+
+
+def test_scan_many_reports_carry_dispatch_and_faults(monkeypatch):
+    from repro.api import compile
+
+    matcher = compile(PATTERNS, geometry=TINY, workers=2,
+                      executor="thread", min_parallel_bytes=0,
+                      loop_fallback=True)
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
+    reports = matcher.scan_many(STREAMS)
+    faults = matcher.engine.last_scan_faults
+    assert len(faults) == 2                   # one per shard
+    for report, stream in zip(reports, STREAMS):
+        assert report.dispatch == "parallel"
+        assert report.faults == faults
+        assert report == build(workers=1).match(stream).ends

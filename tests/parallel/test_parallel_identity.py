@@ -87,13 +87,6 @@ def test_match_many_identical_across_schemes(backend, scheme):
     assert parallel_engine.last_scan_faults == []
 
 
-def test_match_many_explicit_shard_policy():
-    serial = build("compiled").match_many(STREAMS)
-    engine = build("compiled", workers=4, executor="thread",
-                   shard="stream")
-    assert_results_identical(engine.match_many(STREAMS), serial)
-
-
 # -- single-input scan (group sharding) -------------------------------------
 
 

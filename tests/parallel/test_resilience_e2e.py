@@ -1,9 +1,8 @@
 """End-to-end resilience policies on the sharded dispatcher.
 
-Every scenario asserts the tentpole invariant twice over: whatever the
-policy does (retry, abort, deadline-degrade, breaker-inline), match
-results stay bit-identical to serial and no shared-memory segment
-leaks.
+Every scenario asserts the tentpole invariant: whatever the policy
+does (retry, abort, deadline-degrade, breaker-inline), match results
+stay bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ import time
 
 import pytest
 
-from repro.core.engine import BitGenEngine
-from repro.gpu.machine import CTAGeometry
-from repro.parallel import shm
 from repro.parallel import pool as pool_mod
 from repro.parallel.config import ScanConfig
 from repro.parallel.pool import shutdown
@@ -24,20 +20,15 @@ from repro.resilience.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.resilience.chaos import ChaosPlan, ChaosRule
 from repro.resilience.policy import ScanAbortedError
 
-from .test_shm import (DATA, PATTERNS, STREAMS, TINY, assert_no_leaks,
-                       build, process_config, sig)
+from .helpers import STREAMS, TINY, build, process_config, sig
 
 
 @pytest.fixture(autouse=True)
 def clean_slate(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
     chaos.reset()
-    shm.dispose_all()
     yield
     chaos.reset()
-    leaked = shm.active_segments()
-    shm.dispose_all()
-    assert leaked == []
 
 
 def thread_config(**extra):
@@ -76,14 +67,13 @@ def test_fail_policy_aborts_with_the_fault(serial_streams):
     assert [sig(r) for r in results] == serial_streams
 
 
-def test_fail_policy_releases_shared_memory(monkeypatch, serial_streams):
+def test_fail_policy_aborts_a_process_pool(monkeypatch):
     engine = build()
     monkeypatch.setenv(chaos.CHAOS_ENV, "worker.*:exception:1.0")
-    scanner = ParallelScanner(
-        engine, process_config(shard="stream", on_fault="fail"))
-    with pytest.raises(ScanAbortedError):
+    scanner = ParallelScanner(engine, process_config(on_fault="fail"))
+    with pytest.raises(ScanAbortedError) as excinfo:
         scanner.match_many(STREAMS)
-    assert_no_leaks()
+    assert excinfo.value.fault.fallback == "abort"
 
 
 # -- on_fault="retry" --------------------------------------------------------
@@ -132,14 +122,12 @@ def test_retry_recovers_unstartable_pool(serial_streams):
     chaos.install(ChaosPlan(rules=(
         ChaosRule(site="pool.acquire", kind="pool", max_count=1),)))
     scanner = ParallelScanner(engine, process_config(
-        shard="stream", on_fault="retry", max_retries=1,
-        retry_backoff=0.01))
+        on_fault="retry", max_retries=1, retry_backoff=0.01))
     results = scanner.match_many(STREAMS)
     assert [sig(r) for r in results] == serial_streams
     assert scanner.faults
     assert {f.kind for f in scanner.faults} == {"pool"}
     assert {f.fallback for f in scanner.faults} == {"retry"}
-    assert_no_leaks()
 
 
 # -- deadlines ---------------------------------------------------------------

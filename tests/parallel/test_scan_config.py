@@ -14,8 +14,8 @@ from repro.core.engine import BitGenEngine
 from repro.core.schemes import Scheme
 from repro.core.streaming import StreamingMatcher
 from repro.gpu.machine import CTAGeometry
-from repro.parallel.config import (BACKENDS, EXECUTORS, SHARD_POLICIES,
-                                   ScanConfig, reject_legacy_kwargs)
+from repro.parallel.config import (BACKENDS, EXECUTORS, ScanConfig,
+                                   reject_legacy_kwargs)
 from repro.perf.harness import Harness
 
 TINY = CTAGeometry(threads=4, word_bits=8)
@@ -32,13 +32,12 @@ def test_defaults_are_valid():
     assert config.workers == 1
     assert not config.parallel_enabled()
     assert config.backend in BACKENDS
-    assert config.shard in SHARD_POLICIES
     assert config.executor in EXECUTORS
 
 
 @pytest.mark.parametrize("bad", [
     {"backend": "cuda"},
-    {"shard": "byte"},
+    {"executor": "serial"},
     {"executor": "fiber"},
     {"workers": 0},
     {"merge_size": 0},
@@ -66,8 +65,7 @@ def test_replace_and_serial_views():
 def test_compile_key_excludes_dispatch_knobs():
     base = ScanConfig()
     assert base.compile_key() == \
-        base.replace(workers=8, executor="thread",
-                     shard="stream").compile_key()
+        base.replace(workers=8, executor="thread").compile_key()
     assert base.compile_key() != \
         base.replace(merge_size=4).compile_key()
 

@@ -4,8 +4,8 @@
 per worker (``run_session``); chaos at ``worker.session`` exercises
 every recovery path — exception, timeout, worker exit — and each must
 come back **bit-identical** to feeding the same chunks through a
-serial matcher, with every shared-memory segment released and the
-faults attached to the reports they degraded.
+serial matcher, with the faults attached to the reports they
+degraded.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import pytest
 
 from repro.core.engine import BitGenEngine
 from repro.core.streaming import StreamingMatcher
-from repro.parallel import shm
 from repro.parallel.config import ScanConfig
 from repro.parallel.pool import shutdown
 from repro.parallel.scan import parallel_sessions
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan, ChaosRule
 
-from .test_shm import TINY, assert_no_leaks
+from .helpers import TINY
 
 PATTERNS = ["virus[0-9]", "a(bc)*d", "cat|dog"]
 
@@ -37,12 +36,8 @@ SESSIONS = [
 def clean_slate(monkeypatch):
     monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
     chaos.reset()
-    shm.dispose_all()
     yield
     chaos.reset()
-    leaked = shm.active_segments()
-    shm.dispose_all()
-    assert leaked == []
 
 
 def compile_engine():
@@ -86,7 +81,6 @@ def test_sessions_recover_from_worker_exception():
     # Each fault rides on the report of the session it degraded.
     for fault in engine.last_scan_faults:
         assert fault in reports[fault.shard].faults
-    assert_no_leaks()
 
 
 def test_sessions_recover_from_worker_timeout(monkeypatch):
@@ -100,7 +94,6 @@ def test_sessions_recover_from_worker_timeout(monkeypatch):
     assert_identical(reports, want)
     assert engine.last_scan_faults
     assert "timeout" in {f.kind for f in engine.last_scan_faults}
-    assert_no_leaks()
 
 
 def test_sessions_recover_from_worker_exit(monkeypatch):
@@ -114,7 +107,6 @@ def test_sessions_recover_from_worker_exit(monkeypatch):
     # A worker exit breaks the whole pool: every unfinished session
     # recovers inline as a pool fault.
     assert {f.kind for f in engine.last_scan_faults} <= {"pool", "error"}
-    assert_no_leaks()
 
 
 def test_sessions_retry_policy_recovers_transient_fault():
@@ -132,7 +124,6 @@ def test_sessions_retry_policy_recovers_transient_fault():
     assert fault.fallback == "retry"
     assert fault.retries == 1
     assert fault in reports[fault.shard].faults
-    assert_no_leaks()
 
 
 def test_sessions_under_thread_exit_are_not_tested():
