@@ -2,17 +2,18 @@
 
 Mirrors the paper's workflow (Figure 4): regexes are partitioned into
 balanced groups (Section 7), each group is lowered to one bitstream
-program and optimized, and at match time each program executes as one
-CTA, producing match results plus the kernel metrics the benchmarks
-report.
+program, and at match time each program executes as one CTA,
+producing match results plus the kernel metrics the benchmarks report.
 
 The backend decides what a group compiles to.  On the simulate
-backend the per-scheme GPU transforms follow (Shift Rebalancing, Zero
-Block Skipping, barrier planning) and each program runs as one
-simulated CTA.  A compiled engine stops after optimizing: its kernel is
-one Python-int function with no barriers to cut, and it could skip
-only when a whole stream is zero, so those transforms cost compile
-time and buy nothing.
+backend the IR pass pipeline and the per-scheme GPU transforms follow
+(Shift Rebalancing, Zero Block Skipping, barrier planning) and each
+program runs as one simulated CTA.  A compiled engine stops after
+lowering: its kernel is one Python-int function with no barriers to
+cut, it could skip only when a whole stream is zero, and the backend's
+class table already computes each character class once per input and
+shares equal kernel bodies, so those transforms and the pass pipeline
+cost compile time and buy nothing.
 
 Tuning knobs follow Section 7's parameter setup: ``scheme`` (the
 Table 3 ladder), ``merge_size``, ``interval_size``, ``cta_count``, and
@@ -79,7 +80,7 @@ class CompiledGroup:
     #: None on compiled engines and unplanned schemes
     barrier_plan: Optional[BarrierPlan] = None
     #: merged per-pass optimizer accounting (pre- and post-rebalance
-    #: pipeline runs); None when compiled at opt_level 0.
+    #: pipeline runs); None at opt_level 0 and on compiled engines.
     opt_report: Optional[PipelineReport] = None
 
 
@@ -111,7 +112,8 @@ class BitGenEngine(Engine):
 
     def __init__(self, groups: List[CompiledGroup], pattern_count: int,
                  nodes: Optional[List[ast.Regex]] = None,
-                 config: Optional[ScanConfig] = None, **legacy):
+                 config: Optional[ScanConfig] = None,
+                 texts: Optional[List[Optional[str]]] = None, **legacy):
         reject_legacy_kwargs("BitGenEngine", legacy)
         if config is None:
             config = ScanConfig()
@@ -119,6 +121,10 @@ class BitGenEngine(Engine):
         self.pattern_count = pattern_count
         self.config = config
         self._nodes = nodes
+        #: the source text each of ``_nodes`` was parsed from (None for
+        #: patterns given as ASTs): incremental updates reuse the node
+        #: of every unchanged text instead of parsing it again
+        self._texts = texts
         #: faults of the most recent parallel dispatch (always empty
         #: after a serial scan)
         self.last_scan_faults: list = []
@@ -231,7 +237,9 @@ class BitGenEngine(Engine):
                                                    config, index))
         _COMPILES.inc(scheme=config.scheme.value, opt_level=level)
         _COMPILE_SECONDS.observe(time.perf_counter() - begin)
-        return cls(compiled, len(nodes), nodes=nodes, config=config)
+        texts = [p if isinstance(p, str) else None for p in patterns]
+        return cls(compiled, len(nodes), nodes=nodes, config=config,
+                   texts=texts)
 
     @classmethod
     def _compile_group(cls, members: List[ast.Regex], group: RegexGroup,
@@ -247,32 +255,29 @@ class BitGenEngine(Engine):
         is what incremental recompilation
         (:mod:`repro.core.incremental`) reuses across set diffs.
 
-        A compiled engine's group is lowered and optimized, then it
-        stops: no rebalancing, no guards, no barrier plan, whatever the
-        scheme (see the module docstring).
+        A compiled engine's group is lowered, then it stops: no pass
+        pipeline, no rebalancing, no guards, no barrier plan, whatever
+        the scheme (see the module docstring).
         """
         level = config.opt_level
         names = [f"R{local}" for local in range(len(members))]
         # opt_level=0 compiles the raw syntax-directed
         # translation: no construction-time value numbering, no
         # passes.  Levels >= 1 keep value-numbered lowering
-        # (the historical baseline) and layer the pass pipeline
-        # on top.
+        # (the historical baseline); the simulate backend layers
+        # the pass pipeline on top.
         with obs.span("lower", category="compile", cta=index,
                       regexes=len(members)):
             program = lower_group(members, names=names,
                                   value_number=level > 0)
         if config.backend == "compiled":
-            program, report = optimize_pipeline(
-                program, level, passes=cls._roster(level, config.factor))
-            return CompiledGroup(group, program, None,
-                                 report if level > 0 else None)
+            program.validate()
+            return CompiledGroup(group, program)
         scheme = config.scheme
         geometry = config.geometry if config.geometry is not None \
             else DEFAULT_GEOMETRY
         program, report = cls._transform(
-            program, scheme, level, config.interval_size,
-            factor=config.factor)
+            program, scheme, level, config.interval_size)
         with obs.span("plan_barriers", category="compile",
                       cta=index):
             plan = cls._plan(program, scheme,
@@ -280,22 +285,8 @@ class BitGenEngine(Engine):
         return CompiledGroup(group, program, plan, report)
 
     @staticmethod
-    def _roster(level: int, factor: bool, zero_skipping: bool = False):
-        """The optimizer passes of the first (pre-guard) rounds: level
-        2 without CSE for zero-skipping schemes, the full level-2
-        roster otherwise, plus cross-pattern prologue factoring
-        (:func:`~repro.ir.passes.factor_prologue`) when ``factor`` is
-        set; None (the level's default roster) below level 2."""
-        if level < 2:
-            return None
-        roster = LEVEL2_PREGUARD_PASSES if zero_skipping \
-            else LEVEL2_PASSES
-        return roster + (("factor", factor_prologue),) if factor \
-            else roster
-
-    @staticmethod
     def _transform(program: Program, scheme: Scheme, level: int,
-                   interval_size: int, factor: bool = True
+                   interval_size: int
                    ) -> "tuple[Program, Optional[PipelineReport]]":
         """The simulate backend's per-scheme transformation pipeline.
         The optimizer runs twice — on the lowered program and again
@@ -311,10 +302,14 @@ class BitGenEngine(Engine):
         workloads).  Post-guard CSE never registers facts inside a
         guard span, so sharing cannot cross a skip region.
 
-        ``factor`` adds prologue factoring to the pre-guard rounds at
-        level >= 2 (:meth:`_roster`); the pass refuses guarded
-        programs, so the post-guard run never includes it."""
-        pre = BitGenEngine._roster(level, factor, scheme.zero_skipping)
+        At level 2 the pre-guard rounds add cross-pattern prologue
+        factoring (:func:`~repro.ir.passes.factor_prologue`); the pass
+        refuses guarded programs, so the post-guard run never includes
+        it.  Below level 2 every round runs the level's default roster."""
+        pre = None
+        if level >= 2:
+            pre = (LEVEL2_PREGUARD_PASSES if scheme.zero_skipping
+                   else LEVEL2_PASSES) + (("factor", factor_prologue),)
         program, report = optimize_pipeline(program, level, passes=pre)
         if scheme.rebalanced:
             program = rebalance_program(program)

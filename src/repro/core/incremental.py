@@ -14,11 +14,13 @@ unchanged between the old and new sets keeps its program, barrier
 plan, and optimizer report verbatim (only the index-mapping
 :class:`~repro.core.grouping.RegexGroup` is rebuilt), and the on-disk
 kernel cache then skips codegen for any *recompiled* group whose
-kernel fingerprint is already cached.
+kernel fingerprint is already cached.  Patterns are not re-parsed
+either: each unchanged pattern text keeps the donor's AST (nodes are
+immutable), and only new texts go through the parser.
 
 Reuse requires the old and new :meth:`ScanConfig.compile_key` to be
-equal — a changed scheme, opt level, or factoring knob invalidates
-every artefact.  ``grouping="fingerprint"`` maximises the hit rate:
+equal — a changed scheme, opt level, or backend invalidates every
+artefact.  ``grouping="fingerprint"`` maximises the hit rate:
 its deterministic shape-bucket chunking keeps untouched patterns in
 the same groups across small diffs, whereas ``"balanced"`` re-sorts
 globally and a single added pattern can reshuffle every group.
@@ -98,8 +100,17 @@ def update_engine(engine: BitGenEngine,
     begin = time.perf_counter()
     with obs.span("compile.incremental", category="compile",
                   patterns=len(patterns)) as sp:
-        nodes = [parse(p) if isinstance(p, str) else p
-                 for p in patterns]
+        # Texts the donor already parsed keep its nodes.
+        parsed: Dict[str, ast.Regex] = {
+            text: node for text, node
+            in zip(engine._texts or (), engine._nodes or ())
+            if text is not None}
+        texts = [p if isinstance(p, str) else None for p in patterns]
+        nodes = []
+        for pattern, text in zip(patterns, texts):
+            if text is not None and text not in parsed:
+                parsed[text] = parse(text)
+            nodes.append(pattern if text is None else parsed[text])
         cta_count = config.cta_count
         if cta_count is None:
             cta_count = min(DEFAULT_CTA_COUNT, max(1, len(nodes)))
@@ -141,5 +152,5 @@ def update_engine(engine: BitGenEngine,
         patterns=len(nodes), groups=len(groups), reused=reused,
         recompiled=recompiled, seconds=time.perf_counter() - begin)
     return (BitGenEngine(compiled, len(nodes), nodes=nodes,
-                         config=config),
+                         config=config, texts=texts),
             report)

@@ -15,9 +15,7 @@ factors that shared pool into an explicit *once-per-bucket prologue*:
    move — with their pure dependency cones, in original relative
    order — to the top of the program, ahead of the first per-pattern
    chain.  Homogeneous buckets (``grouping="fingerprint"``) then carry
-   their entire shared pool in one contiguous prologue, which keeps
-   the per-pattern remainder identical across members and is what the
-   kernel fingerprint cache collapses.
+   their entire shared pool in one contiguous prologue.
 
 Both rewrites preserve order among the statements they do not move, so
 def-before-use is maintained: a hoisted instruction's operands are
@@ -27,7 +25,9 @@ variables and aliases are never touched.
 
 The pass refuses programs containing :class:`SkipGuard`s: guard skip
 counts index into the statement list, and moving a statement across a
-span would desynchronise them.  The engine runs it pre-guard only.
+span would desynchronise them.  The simulate backend runs it pre-guard
+only, at opt level 2; compiled engines run no passes (their class
+table computes every shared class stream once per input).
 """
 
 from __future__ import annotations

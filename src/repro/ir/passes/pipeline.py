@@ -1,7 +1,8 @@
 """Pass pipeline: run the structural passes to a joint fixpoint.
 
 ``optimize_pipeline(program, level)`` is the single entry point the
-engine uses:
+engine uses, on the simulate backend only (compiled engines lower and
+stop):
 
 * ``level 0`` — identity (no pipeline, empty report);
 * ``level 1`` — the classic cleanups (copy propagation + DCE);
@@ -18,7 +19,7 @@ scan less.  Any order reaches the
 same fixpoint because every pass is semantics-preserving on its own.
 
 The :class:`PipelineReport` records per-pass statement rewrites and
-static instruction deltas; the engine attaches it to each compiled
+static instruction deltas; the engine attaches it to each simulated
 group and surfaces it through ``BitGenEngine.optimization_stats()``.
 """
 

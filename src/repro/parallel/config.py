@@ -63,15 +63,12 @@ class ScanConfig:
     merge_size: int = 8
     interval_size: int = 8
     loop_fallback: bool = False
-    #: optimizer pipeline level: 0 = off, 1 = copy-prop + DCE,
-    #: 2 = full pipeline (CSE, algebraic folding).
+    #: 0 = raw lowering, >= 1 = value-numbered lowering; on the
+    #: simulate backend also the pass pipeline: 1 = copy-prop + DCE,
+    #: 2 = full (CSE, algebraic folding, prologue factoring).
     opt_level: int = 2
     grouping: str = "balanced"
     backend: str = "simulate"
-    #: hoist shared pure definitions into a per-bucket prologue and
-    #: loop-invariant instructions out of fixpoint loops
-    #: (:mod:`repro.ir.passes.factor`); applied at opt_level >= 2.
-    factor: bool = True
 
     # -- prefiltered dispatch (repro.core.prefilter) -----------------------
     #: gate compiled groups behind their mandatory literal factors: one
@@ -218,8 +215,7 @@ class ScanConfig:
         (dispatch knobs excluded) — a cache key for compiled engines."""
         return (self.scheme, self.geometry, self.cta_count,
                 self.merge_size, self.interval_size, self.loop_fallback,
-                self.opt_level, self.grouping, self.backend,
-                self.factor)
+                self.opt_level, self.grouping, self.backend)
 
 
 def reject_legacy_kwargs(api: str, legacy: Mapping[str, object]) -> None:

@@ -164,7 +164,7 @@ def test_cached_word_op_weights_match_a_fresh_walk():
 
 def test_compiled_engines_are_scheme_independent():
     """``scheme`` chooses the simulated schedule only: a compiled engine
-    lowers and optimizes, then stops, under every scheme of the ladder.
+    lowers, then stops, under every scheme of the ladder.
     So the five compile to equal programs with no guards and no barrier
     plan, and report equal matches and metrics; the estimated counters
     are pinned."""
@@ -191,4 +191,36 @@ def test_compiled_engines_are_scheme_independent():
     assert all(run == runs[0] for run in runs[1:])
     metrics = runs[0][2]
     assert (metrics.thread_word_ops, metrics.loop_iterations,
-            metrics.guard_checks, metrics.guard_hits) == (3790, 14, 0, 0)
+            metrics.guard_checks, metrics.guard_hits) == (3920, 14, 0, 0)
+
+
+def test_compiled_engines_run_no_pass_pipeline():
+    """A compiled group runs its members' lowering as is (value-numbered
+    from opt_level 1): no optimizer pass runs, so there is no per-pass
+    accounting and no ``optimize`` span, and levels 1 and 2 build the
+    same programs."""
+    from repro import obs
+
+    patterns = ["a(bc)*d", "x+y", "cat|dog", "[0-9]{2,4}z", "ab[^\n]*cd",
+                "qu[aeiou]te", "zz(top)?s"]
+    programs = {}
+    for level in (0, 1, 2):
+        tracer = obs.start_tracing()
+        try:
+            engine = BitGenEngine.compile(patterns, config=ScanConfig(
+                backend="compiled", cta_count=3, opt_level=level))
+        finally:
+            obs.stop_tracing()
+        names = {span["name"] for span in tracer.finished()}
+        assert "lower" in names
+        assert "optimize" not in names
+        assert not any(name.startswith("pass:") for name in names)
+        for compiled in engine.groups:
+            members = [engine._nodes[i] for i in compiled.group.indices]
+            assert compiled.program == lower_group(
+                members, names=[f"R{k}" for k in range(len(members))],
+                value_number=level > 0)
+            assert compiled.opt_report is None
+        assert engine.optimization_stats()["passes"] == {}
+        programs[level] = [compiled.program for compiled in engine.groups]
+    assert programs[1] == programs[2] != programs[0]

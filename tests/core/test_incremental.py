@@ -19,6 +19,25 @@ def test_one_pattern_diff_reuses_almost_everything():
     assert updated.pattern_count == len(RULES) + 1
 
 
+def test_update_parses_only_new_patterns(monkeypatch):
+    import repro.core.incremental as incremental
+
+    engine = BitGenEngine.compile(RULES, config=CONFIG)
+    real_parse = incremental.parse
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(incremental, "parse", counting_parse)
+    updated, _ = update_engine(engine, RULES + ["added[0-9]+q"])
+    assert parsed == ["added[0-9]+q"]
+    assert all(new is old for new, old
+               in zip(updated._nodes, engine._nodes))
+    assert updated._texts == RULES + ["added[0-9]+q"]
+
+
 def test_update_results_match_cold_compile():
     engine = BitGenEngine.compile(RULES, config=CONFIG)
     new_rules = RULES[1:] + ["added[0-9]+q"]

@@ -25,19 +25,32 @@ def run_trace(tmp_path, *extra):
     return out
 
 
-def test_chrome_export_contains_pipeline_spans(tmp_path, capsys):
-    out = run_trace(tmp_path, "--export", "chrome")
+def chrome_span_names(out) -> set:
     doc = json.loads(out.read_text())
-    names = {event["name"] for event in doc["traceEvents"]
-             if event.get("ph") == "X"}
-    # The full pipeline: compile stages, optimizer passes, codegen,
-    # sharded dispatch, and kernel execution.
-    for required in ("compile", "parse", "group", "lower", "optimize",
-                     "codegen", "scan", "scan.parallel", "shard",
-                     "exec", "exec.batch"):
+    return {event["name"] for event in doc["traceEvents"]
+            if event.get("ph") == "X"}
+
+
+def test_chrome_export_contains_pipeline_spans(tmp_path, capsys):
+    names = chrome_span_names(run_trace(tmp_path, "--export", "chrome"))
+    # The compiled pipeline (the trace default): compile stages,
+    # codegen, sharded dispatch, and kernel execution.  A compiled
+    # engine lowers, then stops, so no optimizer span is recorded.
+    for required in ("compile", "parse", "group", "lower", "codegen",
+                     "scan", "scan.parallel", "shard", "exec",
+                     "exec.batch"):
+        assert required in names, f"missing span {required!r}"
+    assert "optimize" not in names
+    assert not any(name.startswith("pass:") for name in names)
+    assert "matches" in capsys.readouterr().out
+
+
+def test_simulate_chrome_export_contains_optimizer_spans(tmp_path):
+    names = chrome_span_names(run_trace(
+        tmp_path, "--export", "chrome", "--backend", "simulate"))
+    for required in ("compile", "lower", "optimize", "scan", "shard"):
         assert required in names, f"missing span {required!r}"
     assert any(name.startswith("pass:") for name in names)
-    assert "matches" in capsys.readouterr().out
 
 
 def test_jsonl_export(tmp_path):
