@@ -316,14 +316,16 @@ def main(argv: List[str] = None) -> int:
     starts = engine.match_starts(data) \
         if args.spans and isinstance(engine, BitGenEngine) else None
 
+    all_ends = result.ends
+    all_starts = starts.ends if starts is not None else {}
     for index, pattern in enumerate(patterns):
-        ends = result.ends[index]
+        ends = all_ends[index]
         shown = ", ".join(map(str, ends[:args.limit]))
         suffix = ", ..." if len(ends) > args.limit else ""
         print(f"/{pattern}/: {len(ends)} match(es)"
               + (f" ending at [{shown}{suffix}]" if ends else ""))
-        if starts is not None and starts.ends[index]:
-            begin = ", ".join(map(str, starts.ends[index][:args.limit]))
+        if all_starts.get(index):
+            begin = ", ".join(map(str, all_starts[index][:args.limit]))
             print(f"    starts at [{begin}]")
 
     if args.stats:

@@ -7,8 +7,8 @@ loop per op), compiles it once, and caches it under a structural
 fingerprint so repeated harness cells and structurally repeated regex
 groups pay zero recompilation.  Character classes leave the kernels:
 one :class:`ClassTable` per compiled group computes each class its
-programs read once per input.  Inputs and outputs cross the kernel
-boundary as ``uint64`` word arrays.
+programs read once per input.  Inputs cross the kernel boundary as
+``uint64`` word arrays; outputs stay ints until one is read.
 
 Front doors:
 
@@ -16,7 +16,8 @@ Front doors:
 * :func:`compile_program` — one program, its own one-program table
 * :func:`basis_environment` — one input → its ``(8, W)`` basis words
 * :func:`dispatch_words` / :func:`iter_dispatch` — many CTAs over one
-  input's basis words (several inputs are several dispatches)
+  input's basis words (several inputs are several dispatches); the
+  first returns word arrays, the second yields the kernels' ints
 * :func:`kernel_cache` — the process-wide cache (hit-rate reporting)
 """
 

@@ -230,18 +230,13 @@ class CompiledProgram:
         raw = self.kernel.func(stream, classes, self.params, stats)
         return dict(zip(self.output_names, raw)), stats
 
-    def run_words(self, stream: runtime.KernelInput,
-                  classes: Optional[Tuple[int, ...]] = None):
-        """:meth:`run`, with each output as a ``(W,)`` uint64 word
-        array."""
-        outputs, stats = self.run(stream, classes)
-        return ({name: runtime.to_words(value, stream.length)
-                 for name, value in outputs.items()}, stats)
-
     def run_data(self, data: bytes):
         """Transpose ``data`` and execute; returns (name → uint64
         word array, stats) over ``len(data) + 1`` bits."""
-        return self.run_words(runtime.KernelInput.of(data))
+        stream = runtime.KernelInput.of(data)
+        outputs, stats = self.run(stream)
+        return ({name: runtime.to_words(value, stream.length)
+                 for name, value in outputs.items()}, stats)
 
 
 def compile_group(programs: Sequence[Program],

@@ -9,8 +9,10 @@ programs read is computed once, and programs sharing a kernel run as
 one batch, a CTA at a time.  Several input streams are just more
 independent dispatches — the paper's MIMD-style (group, stream) CTAs.
 
-Dispatch returns per-CTA outputs as ``(W,)`` uint64 word arrays;
-kernels run over ints, so outputs are converted where a kernel is left.
+:func:`iter_dispatch` yields each CTA's outputs as the kernel's ints,
+so a caller reads only the outputs it needs (the engine skips the
+ones with no match in O(1)); :func:`dispatch_words` converts every
+output to a ``(W,)`` uint64 word array at its own boundary.
 
 Compiled execution produces bit-identical output streams but does not
 *simulate* the schedule, so the metrics here are estimates: compute-side
@@ -36,6 +38,8 @@ from . import runtime
 from .compiled import ClassTable, CompiledProgram
 
 DispatchResult = Tuple[Dict[str, np.ndarray], runtime.KernelStats]
+#: one CTA's outputs as kernel ints, and its stats
+KernelResult = Tuple[Dict[str, int], runtime.KernelStats]
 
 
 def dispatch_words(compiled: Sequence[CompiledProgram], basis,
@@ -44,19 +48,21 @@ def dispatch_words(compiled: Sequence[CompiledProgram], basis,
     :func:`~repro.backend.compile_group` calls) over one ``(8, W)``
     basis word array: each class table they read is computed once,
     then programs sharing a kernel run as one batch, a CTA at a
-    time."""
+    time.  Each output comes back as a ``(W,)`` uint64 word array."""
     results: List[Optional[DispatchResult]] = [None] * len(compiled)
-    for index, result in iter_dispatch(compiled, basis, length):
-        results[index] = result
+    for index, (outputs, stats) in iter_dispatch(compiled, basis, length):
+        results[index] = ({name: runtime.to_words(value, length)
+                           for name, value in outputs.items()}, stats)
     return results  # type: ignore[return-value]
 
 
 def iter_dispatch(compiled: Sequence[CompiledProgram], basis, length: int
-                  ) -> Iterator[Tuple[int, DispatchResult]]:
-    """:func:`dispatch_words` as it runs: ``(position in compiled,
-    result)`` per program, a kernel batch at a time.  A caller that
-    consumes each result at once never holds every output stream
-    beside the class table."""
+                  ) -> Iterator[Tuple[int, KernelResult]]:
+    """:func:`dispatch_words` as it runs, without the word conversion:
+    ``(position in compiled, (output name → int, stats))`` per
+    program, a kernel batch at a time.  A caller that consumes each
+    result at once never holds every output stream beside the class
+    table."""
     stream = runtime.KernelInput(basis, length)
     buckets: Dict[str, List[int]] = {}
     #: table -> its entries over this input
@@ -71,7 +77,7 @@ def iter_dispatch(compiled: Sequence[CompiledProgram], basis, length: int
     for indices in buckets.values():
         with obs.span("exec.batch", category="exec", ctas=len(indices),
                       kernel=compiled[indices[0]].kernel.fingerprint[:12]):
-            batch = [(index, compiled[index].run_words(
+            batch = [(index, compiled[index].run(
                 stream, entries[compiled[index].table]))
                 for index in indices]
         yield from batch

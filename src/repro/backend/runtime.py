@@ -5,11 +5,14 @@ ints: each bitstream is one non-negative int whose bit *i* is text
 position *i*, so AND / OR / XOR and shifts are one C loop over the
 stream each and a zero test is O(1).
 
-Code outside the kernels passes and reads the ``(8, W)`` little-endian
-``uint64`` word layout of :class:`~repro.bitstream.npvector.NPBitVector`
-— basis environments and dispatch outputs.
-This module converts between the two only where a kernel is entered
-(:class:`KernelInput`) and left (:func:`to_words`).
+Inputs arrive in the ``(8, W)`` little-endian ``uint64`` word layout
+of :class:`~repro.bitstream.npvector.NPBitVector` (basis environments)
+and are converted once where a kernel is entered (:class:`KernelInput`).
+Outputs stay ints until one is read: :func:`output_ends` reads a
+compiled engine's match ends straight from an output int, skipping
+in O(1) an output with no bit past the cursor slot, and
+:func:`to_words` converts an output to words only for callers that
+want them (:func:`~repro.backend.dispatch_words`).
 
 Invariant: every value a kernel produces is below ``2 ** L`` for stream
 length ``L``.  AND / OR / XOR / ANDN and the paper's ``<<`` (an int
@@ -20,9 +23,12 @@ right shift) preserve it; NOT is an XOR with ``ONES``, and the paper's
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from .. import obs
+from ..bitstream.npvector import word_match_ends
 from ..bitstream.transpose import transpose_words
 
 WORD_BITS = 64
@@ -74,6 +80,18 @@ def to_words(value: int, length: int) -> np.ndarray:
     word array (the :class:`NPBitVector` layout)."""
     raw = bytearray(value.to_bytes(8 * word_count(length), "little"))
     return np.frombuffer(raw, dtype="<u8")
+
+
+def output_ends(value: int) -> List[int]:
+    """A kernel output's match end positions, read from the int.  An
+    output ``<= 1`` has no set bit past the cursor slot, so it has no
+    ends and costs O(1); any other is viewed as the words up to its
+    highest set bit and read by the set-bit helper
+    :meth:`NPBitVector.match_ends` uses."""
+    if value <= 1:
+        return []
+    raw = value.to_bytes(8 * word_count(value.bit_length()), "little")
+    return word_match_ends(np.frombuffer(raw, dtype="<u8"))
 
 
 class KernelStats:

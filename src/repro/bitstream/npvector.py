@@ -44,6 +44,33 @@ def popcount_words(words: np.ndarray) -> int:
                .sum(dtype=np.int64))
 
 
+def word_match_ends(words: np.ndarray) -> List[int]:
+    """Set cursors of a little-endian ``uint64`` word array as match
+    *end* positions: each set-bit index minus one, dropping the
+    empty-match cursor at position 0.  Only the nonzero words are
+    unpacked, so sparse match streams cost O(W + set words), not 64·W
+    bits, and one vectorized subtract replaces the
+    ``[p - 1 for p in positions() if p > 0]`` Python hot loop.  The
+    one set-bit reader behind :meth:`NPBitVector.match_ends` and the
+    compiled engine's kernel-int outputs
+    (:func:`repro.backend.runtime.output_ends`)."""
+    ends = _set_bits(words)
+    if ends.size and ends[0] == 0:
+        ends = ends[1:]
+    return (ends - 1).tolist()
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """Sorted set-bit indices of a word array (nonzero words only)."""
+    nonzero = np.flatnonzero(words)
+    if not nonzero.size:
+        return nonzero
+    bits = np.unpackbits(words[nonzero].view(np.uint8),
+                         bitorder="little").reshape(-1, WORD_BITS)
+    rows, cols = np.nonzero(bits)
+    return nonzero[rows] * WORD_BITS + cols
+
+
 class NPBitVector:
     """A fixed-length bitstream backed by little-endian uint64 words."""
 
@@ -166,31 +193,15 @@ class NPBitVector:
     def popcount(self) -> int:
         return popcount_words(self.words)
 
-    def _set_bits(self) -> np.ndarray:
-        """Sorted set-bit indices.  Only the nonzero words are unpacked,
-        so sparse match streams cost O(W + set words), not 64·W bits
-        (the tail-mask invariant guarantees no bit beyond ``length``)."""
-        nonzero = np.flatnonzero(self.words)
-        if not nonzero.size:
-            return nonzero
-        bits = np.unpackbits(self.words[nonzero].view(np.uint8),
-                             bitorder="little").reshape(-1, WORD_BITS)
-        rows, cols = np.nonzero(bits)
-        return nonzero[rows] * WORD_BITS + cols
-
     def positions(self) -> List[int]:
-        """Sorted set-bit positions, computed directly on the words."""
-        return self._set_bits().tolist()
+        """Sorted set-bit positions, computed directly on the words
+        (the tail-mask invariant guarantees no bit beyond ``length``)."""
+        return _set_bits(self.words).tolist()
 
     def match_ends(self) -> List[int]:
-        """Set cursors as match *end* positions: each set-bit index
-        minus one, dropping the empty-match cursor at position 0.
-        One vectorized subtract on the set-bit indices replaces the
-        ``[p - 1 for p in positions() if p > 0]`` Python hot loop."""
-        ends = self._set_bits()
-        if ends.size and ends[0] == 0:
-            ends = ends[1:]
-        return (ends - 1).tolist()
+        """Set cursors as match *end* positions
+        (:func:`word_match_ends`)."""
+        return word_match_ends(self.words)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NPBitVector)

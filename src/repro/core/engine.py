@@ -38,7 +38,7 @@ from ..ir.passes import (LEVEL2_PASSES, LEVEL2_PREGUARD_PASSES,
                          optimize_pipeline)
 from ..ir.program import Program
 from ..parallel.config import ScanConfig, reject_legacy_kwargs
-from ..parallel.report import ScanReport
+from ..parallel.report import ScanReport, dense_ends
 from ..regex import ast
 from ..regex.parser import parse
 from ..regex.reverse import reverse
@@ -86,7 +86,13 @@ class CompiledGroup:
 
 @dataclass
 class BitGenResult(MatchResult):
-    """Match result annotated with execution metrics."""
+    """Match result annotated with execution metrics.
+
+    Stores only the patterns that matched: ``found`` maps each to its
+    end positions (never an empty list).  ``ends`` is the dense view
+    of it, every pattern in order with ``[]`` when unmatched, built on
+    each access and never by a scan; assigning ``ends`` (dense or
+    sparse) replaces ``found``."""
 
     #: aggregate over all CTAs
     metrics: KernelMetrics = field(default_factory=KernelMetrics)
@@ -98,6 +104,24 @@ class BitGenResult(MatchResult):
     #: (:class:`~repro.core.prefilter.PrefilterReport` of the gate call
     #: over this input), ``None`` for ungated runs
     prefilter: Optional[object] = None
+
+    def __post_init__(self):
+        pass    # the ``ends`` setter has filled ``found``
+
+    @property
+    def ends(self) -> Dict[int, List[int]]:
+        return dense_ends(self.found, self.pattern_count)
+
+    @ends.setter
+    def ends(self, ends: Dict[int, List[int]]) -> None:
+        self.found = {pattern: positions
+                      for pattern, positions in ends.items() if positions}
+
+    def match_count(self) -> int:
+        return sum(map(len, self.found.values()))
+
+    def matched_patterns(self) -> List[int]:
+        return sorted(self.found)
 
     def report(self, stream_offset: int = 0) -> ScanReport:
         """This result as the unified :class:`ScanReport` view —
@@ -392,8 +416,9 @@ class BitGenEngine(Engine):
 
         ``active`` (group indices) restricts execution to the
         prefilter-activated groups; skipped groups share one empty
-        metrics slot and keep their (provably all-zero) empty match
-        lists.  The work after dispatch is O(active groups)."""
+        metrics slot and match nothing (their outputs are provably
+        all-zero).  The work after dispatch is O(active groups +
+        matches): the result stores matched patterns only."""
         indices = range(len(self.groups)) if active is None \
             else sorted(active)
         with obs.span("exec", category="exec", backend=self.backend,
@@ -418,18 +443,16 @@ class BitGenEngine(Engine):
         matches = 0
         if self.backend == "compiled":
             from ..backend import estimate_metrics, iter_dispatch
-            from ..bitstream.npvector import NPBitVector
-
-            def read(words) -> List[int]:
-                return NPBitVector(words, length).match_ends()
+            from ..backend.runtime import output_ends
 
             programs = self._compiled_programs()
-            for position, (raw, stats) in iter_dispatch(
+            for position, (outputs, stats) in iter_dispatch(
                     [programs[i] for i in indices], basis, length):
                 index = indices[position]
                 metrics = estimate_metrics(self.groups[index].program,
                                            self.geometry, length, stats)
-                matches += self._record(result, index, metrics, raw, read)
+                matches += self._record(result, index, metrics, outputs,
+                                        output_ends)
             return matches
         planes = words_environment(basis, length)
         for index in indices:
@@ -443,15 +466,18 @@ class BitGenEngine(Engine):
                 metrics: KernelMetrics, outputs: Dict[str, object],
                 read) -> int:
         """Store group ``index``'s metrics and the match ends ``read``
-        finds in each of its output streams; returns their count."""
+        finds in each of its output streams (kernel ints on the
+        compiled backend); returns their count.  Only patterns with
+        ends are stored."""
         result.cta_metrics[index] = metrics
         result.metrics.merge(metrics)
         patterns = self.groups[index].group.indices
         matches = 0
         for out, stream in outputs.items():
             ends = read(stream)
-            result.ends[patterns[int(out[1:])]] = ends
-            matches += len(ends)
+            if ends:
+                result.found[patterns[int(out[1:])]] = ends
+                matches += len(ends)
         return matches
 
     def _compiled_programs(self) -> list:
@@ -581,14 +607,12 @@ class BitGenEngine(Engine):
                 [reverse(node) for node in self._nodes], self.config)
         mirrored = self._reversed_engine.match(data[::-1])
         length = len(data)
-        result = BitGenResult(pattern_count=self.pattern_count,
-                              input_bytes=length,
-                              metrics=mirrored.metrics,
-                              cta_metrics=mirrored.cta_metrics)
-        for index in range(self.pattern_count):
-            result.ends[index] = sorted(length - 1 - pos
-                                        for pos in mirrored.ends[index])
-        return result
+        return BitGenResult(
+            pattern_count=self.pattern_count,
+            ends={index: sorted(length - 1 - pos for pos in ends)
+                  for index, ends in mirrored.found.items()},
+            input_bytes=length, metrics=mirrored.metrics,
+            cta_metrics=mirrored.cta_metrics)
 
     # -- introspection ---------------------------------------------------------
 

@@ -72,11 +72,12 @@ class StreamingMatcher:
         self.chunks_fed += 1
         window = self._tail + chunk
         result = self.engine.match(window)
-        fresh: Dict[int, List[int]] = {}
         boundary = len(self._tail)
-        for pattern, ends in result.ends.items():
-            fresh[pattern] = [self._consumed + pos for pos in ends
-                              if pos >= boundary]
+        # matched patterns only; the report drops any left empty
+        fresh: Dict[int, List[int]] = {
+            pattern: [self._consumed + pos for pos in ends
+                      if pos >= boundary]
+            for pattern, ends in result.found.items()}
         keep = min(len(window), self.guaranteed_span)
         self._consumed += len(window) - keep
         self._tail = window[len(window) - keep:]

@@ -21,8 +21,9 @@ class MatchResult:
     ends: Dict[int, List[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        # dense: every pattern owns a (possibly empty) list of its own;
-        # built here once per scan, reports adopt it without refilling
+        # dense: every pattern owns a (possibly empty) list of its own,
+        # which the baseline engines append to.  BitGenResult keeps
+        # only the matched patterns and serves this view on access.
         if not self.ends:
             self.ends = {index: [] for index in range(self.pattern_count)}
         else:
@@ -38,7 +39,8 @@ class MatchResult:
     def same_matches(self, other: "MatchResult") -> bool:
         if self.pattern_count != other.pattern_count:
             return False
-        return all(sorted(set(self.ends[i])) == sorted(set(other.ends[i]))
+        mine, theirs = self.ends, other.ends
+        return all(sorted(set(mine[i])) == sorted(set(theirs[i]))
                    for i in range(self.pattern_count))
 
 

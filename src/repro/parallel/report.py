@@ -9,7 +9,10 @@ metrics, and any shard faults the dispatcher degraded around.
 ``ScanReport`` is a :class:`~collections.abc.Mapping` over
 ``pattern index → positions``, so code written against the old bare
 ``Dict[int, List[int]]`` return shape (``report[0]``, ``report.items()``,
-``report == {...}``) keeps working unchanged.
+``report == {...}``) keeps working unchanged.  It stores only the
+patterns that matched (``found``) and serves every pattern from that:
+an unmatched one reads ``[]``, so a scan that matched a few of 1,000
+patterns costs O(matches), not O(patterns).
 """
 
 from __future__ import annotations
@@ -72,10 +75,19 @@ class ShardFault:
                 f"error={self.error}")
 
 
+def dense_ends(found: Dict[int, List[int]],
+               pattern_count: int) -> Dict[int, List[int]]:
+    """The dense pattern → ends dict of a sparse ``found`` (matched
+    patterns only): every pattern in order, ``[]`` when unmatched.
+    The views built on access (``ScanReport.matches``,
+    ``BitGenResult.ends``) come from here; no scan builds one."""
+    return {index: found.get(index, []) for index in range(pattern_count)}
+
+
 class ScanReport(Mapping):
     """Matches plus provenance for one scan (or one streaming step)."""
 
-    __slots__ = ("pattern_count", "matches", "stream_offset",
+    __slots__ = ("pattern_count", "found", "stream_offset",
                  "input_bytes", "metrics", "cta_metrics", "faults",
                  "dispatch", "trace")
 
@@ -88,10 +100,13 @@ class ScanReport(Mapping):
                  dispatch: str = "serial",
                  trace: Optional[List[Dict[str, object]]] = None):
         self.pattern_count = pattern_count
-        self.matches = dict(matches) if matches else {}
-        if len(self.matches) < pattern_count:   # not dense yet
-            for index in range(pattern_count):
-                self.matches.setdefault(index, [])
+        #: pattern → end positions of the patterns that matched (never
+        #: an empty list); ``matches`` (dense or sparse) is copied, so
+        #: the report owns every list it holds and :meth:`merge` may
+        #: extend them
+        self.found: Dict[int, List[int]] = {
+            pattern: list(ends) for pattern, ends in matches.items()
+            if ends} if matches else {}
         #: total stream bytes consumed when this report was produced
         self.stream_offset = stream_offset
         self.input_bytes = input_bytes
@@ -114,11 +129,13 @@ class ScanReport(Mapping):
                     faults: Optional[List[ShardFault]] = None,
                     dispatch: str = "serial") -> "ScanReport":
         """Wrap a :class:`~repro.engines.base.MatchResult` (plain or
-        :class:`~repro.core.engine.BitGenResult`).  The result's dense
-        ends dict is already built once per scan, so the report adopts
-        its per-pattern lists instead of copying each one."""
+        :class:`~repro.core.engine.BitGenResult`).  A BitGenResult
+        hands over its sparse ``found``, so wrapping costs O(matches)
+        however many patterns the engine has; the report copies the
+        matched lists and shares none with the result."""
+        found = getattr(result, "found", None)
         return cls(pattern_count=result.pattern_count,
-                   matches=result.ends,
+                   matches=found if found is not None else result.ends,
                    stream_offset=stream_offset,
                    input_bytes=getattr(result, "input_bytes", 0),
                    metrics=getattr(result, "metrics", None),
@@ -127,18 +144,30 @@ class ScanReport(Mapping):
 
     # -- mapping interface (pattern -> end positions) ----------------------
 
+    @property
+    def matches(self) -> Dict[int, List[int]]:
+        """Every pattern → its end positions, as a dense dict built on
+        each access (unmatched patterns read ``[]``)."""
+        return dense_ends(self.found, self.pattern_count)
+
     def __getitem__(self, pattern: int) -> List[int]:
-        return self.matches[pattern]
+        ends = self.found.get(pattern)
+        if ends is not None:
+            return ends
+        if pattern in range(self.pattern_count):
+            return []
+        raise KeyError(pattern)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.matches)
+        return iter(range(self.pattern_count))
 
     def __len__(self) -> int:
-        return len(self.matches)
+        return self.pattern_count
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ScanReport):
-            return self.matches == other.matches
+            return (self.pattern_count == other.pattern_count
+                    and self.found == other.found)
         if isinstance(other, Mapping):
             return self.matches == dict(other)
         return NotImplemented
@@ -156,17 +185,22 @@ class ScanReport(Mapping):
     # -- aggregate views ---------------------------------------------------
 
     def match_count(self) -> int:
-        return sum(len(v) for v in self.matches.values())
+        return sum(map(len, self.found.values()))
 
     def matched_patterns(self) -> List[int]:
-        return [index for index, ends in sorted(self.matches.items())
-                if ends]
+        return sorted(self.found)
 
     def merge(self, other: "ScanReport") -> "ScanReport":
         """Fold another report into this one (streaming / sharding):
-        matches extend, metrics accumulate, the offset advances."""
-        for pattern, ends in other.matches.items():
-            self.matches.setdefault(pattern, []).extend(ends)
+        matches extend, metrics accumulate, the offset advances.  Only
+        this report's own lists grow; ``other`` is read, never
+        changed."""
+        for pattern, ends in other.found.items():
+            mine = self.found.get(pattern)
+            if mine is None:
+                self.found[pattern] = list(ends)
+            else:
+                mine.extend(ends)
         self.pattern_count = max(self.pattern_count, other.pattern_count)
         self.stream_offset = max(self.stream_offset, other.stream_offset)
         self.input_bytes += other.input_bytes
@@ -186,7 +220,7 @@ class ScanReport(Mapping):
         payload = {
             "pattern_count": self.pattern_count,
             "match_count": self.match_count(),
-            "matches": {str(k): v for k, v in sorted(self.matches.items())},
+            "matches": {str(k): v for k, v in self.matches.items()},
             "stream_offset": self.stream_offset,
             "input_bytes": self.input_bytes,
             "dispatch": self.dispatch,

@@ -193,9 +193,8 @@ class ParallelScanner:
             for row, group_index in enumerate(group_indices):
                 merged.cta_metrics[group_index] = \
                     result.cta_metrics[row]
-                for pattern in self.engine.groups[group_index] \
-                        .group.indices:
-                    merged.ends[pattern] = result.ends[pattern]
+            # shards run disjoint groups, so their patterns never meet
+            merged.found.update(result.found)
         # Aggregate in serial (group) order so max/sum folds agree.
         for metrics in merged.cta_metrics:
             merged.metrics.merge(metrics)

@@ -117,8 +117,7 @@ def report_payload(report: ScanReport) -> Dict[str, object]:
     """A ScanReport on the wire: pattern → end positions (string keys,
     JSON objects can't have int keys), plus the summary fields."""
     return {"matches": {str(pattern): list(ends)
-                        for pattern, ends in report.matches.items()
-                        if ends},
+                        for pattern, ends in sorted(report.found.items())},
             "match_count": report.match_count(),
             "stream_offset": report.stream_offset,
             "input_bytes": report.input_bytes,

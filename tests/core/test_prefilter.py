@@ -165,6 +165,34 @@ def test_gated_scan_report_stays_dense_and_unshared():
     assert all(second[i] == [] for i in unmatched)
 
 
+def test_gated_scan_report_retains_only_its_matches():
+    """A gated scan of 5,000 signature rules with one planted match
+    keeps a report of O(matches), not one list per pattern (a dense
+    report took about 570 KiB here)."""
+    import gc
+    import tracemalloc
+
+    rules = ["sig%05d[0-9]+x" % index for index in range(5000)]
+    config = ScanConfig(backend="compiled", grouping="fingerprint",
+                        prefilter=True)
+    engine = BitGenEngine.compile(rules, config=config)
+    data = b"." * 2000 + b"sig01234567x" + b"," * 2000
+    engine.scan(data)               # build kernels and the gate index
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = engine.scan(data)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.matched_patterns() == [1234]
+    assert report[1234] == [2011] and report[0] == []
+    assert len(report) == 5000
+    assert retained < 64 * 1024, f"report retained {retained} bytes"
+
+
 def test_pattern_gate_prepared_node_semantics():
     # factor-free: any single char
     assert pattern_gate(parse("[a-z]")) is None

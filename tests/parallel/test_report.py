@@ -9,8 +9,15 @@ sharded aggregation.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
-from repro.core.engine import BitGenEngine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core.engine import BitGenEngine, BitGenResult
+from repro.engines.base import MatchResult
 from repro.gpu.machine import CTAGeometry
 from repro.gpu.metrics import KernelMetrics
 from repro.parallel.config import ScanConfig
@@ -94,6 +101,20 @@ def test_merge_accumulates_everything():
     assert [f.kind for f in merged.faults] == ["error"]
 
 
+def test_merge_never_mutates_lists_it_does_not_own():
+    # Two reports of one result, and the result itself, must not see
+    # what is merged into one of them.
+    matcher = repro.compile(["ab", "cd"], backend="compiled")
+    result = matcher.engine.match(b"xxab")
+    first, second = result.report(), result.report()
+    other = matcher.scan(b"zzab")
+    first.merge(other)
+    assert first[0] == [3, 3]
+    assert second[0] == [3]
+    assert result.ends[0] == [3]
+    assert other[0] == [3]
+
+
 def test_merge_matches_streaming_feed_all():
     engine = compile_engine(["virus[0-9]"])
     from repro.core.streaming import StreamingMatcher
@@ -107,6 +128,104 @@ def test_merge_matches_streaming_feed_all():
     assert whole == stepwise
     assert whole.stream_offset == stepwise.stream_offset
     assert whole.metrics == stepwise.metrics
+
+
+# -- sparse storage behind the dense views ----------------------------------
+
+
+@st.composite
+def sparse_matches(draw):
+    """``(pattern_count, pattern → non-empty ends)`` for a few of the
+    patterns, as a gated scan finds them."""
+    count = draw(st.integers(min_value=0, max_value=40))
+    patterns = draw(st.lists(st.integers(min_value=0,
+                                         max_value=max(0, count - 1)),
+                             unique=True, max_size=count))
+    return count, {pattern: draw(st.lists(st.integers(0, 10_000),
+                                          min_size=1, max_size=4))
+                   for pattern in patterns}
+
+
+def dense_reference(count, found):
+    """The dense dict a scan built before results went sparse: one
+    list per pattern, in order, filled where it matched."""
+    reference = {index: [] for index in range(count)}
+    for pattern, ends in found.items():
+        reference[pattern] = list(ends)
+    return reference
+
+
+def reference_json(reference, report) -> str:
+    """``to_json()`` text built from the dense reference."""
+    return json.dumps({
+        "pattern_count": len(reference),
+        "match_count": sum(len(v) for v in reference.values()),
+        "matches": {str(k): v for k, v in sorted(reference.items())},
+        "stream_offset": report.stream_offset,
+        "input_bytes": report.input_bytes,
+        "dispatch": report.dispatch,
+        "metrics": asdict(report.metrics),
+        "faults": [fault.to_dict() for fault in report.faults],
+    })
+
+
+def assert_dense_views(view, reference):
+    """Every Mapping behaviour of the dense reference dict."""
+    count = len(reference)
+    assert len(view) == count
+    assert list(view) == list(range(count))
+    assert [view[i] for i in range(count)] == list(reference.values())
+    for missing in (count, -1, count + 7):
+        with pytest.raises(KeyError):
+            view[missing]
+    assert view == reference and reference == view
+    assert not (view != reference) and not (reference != view)
+    assert dict(view.items()) == reference
+
+
+@given(sparse_matches(), sparse_matches())
+@settings(deadline=None, max_examples=60)
+def test_sparse_report_and_result_equal_the_dense_reference(left, right):
+    count, found = left
+    reference = dense_reference(count, found)
+
+    report = ScanReport(pattern_count=count, matches=found,
+                        stream_offset=3, input_bytes=5)
+    assert_dense_views(report, reference)
+    assert report.matches == reference
+    assert list(report.matches) == list(reference)
+    assert report.match_count() == sum(map(len, reference.values()))
+    assert report.matched_patterns() == [i for i in reference
+                                         if reference[i]]
+    assert report.to_json() == reference_json(reference, report)
+    assert report.to_json(indent=2) == json.dumps(
+        json.loads(reference_json(reference, report)), indent=2)
+
+    result = BitGenResult(pattern_count=count, ends=found)
+    assert result.ends == reference
+    assert list(result.ends) == list(reference)
+    assert_dense_views(result.report(), reference)
+    assert result.match_count() == report.match_count()
+    assert result.matched_patterns() == report.matched_patterns()
+    assert result.same_matches(MatchResult(count, ends=dict(reference)))
+    assert result.report().to_json() == ScanReport(
+        pattern_count=count, matches=reference).to_json()
+
+    other_count, other_found = right
+    other = ScanReport(pattern_count=other_count, matches=other_found)
+    before = {p: list(e) for p, e in other_found.items()}
+    merged_reference = dict(reference)
+    for pattern, ends in dense_reference(other_count,
+                                         other_found).items():
+        merged_reference[pattern] = \
+            merged_reference.get(pattern, []) + ends
+    merged = result.report().merge(other)
+    assert_dense_views(merged, merged_reference)
+    assert merged.match_count() == sum(map(len,
+                                           merged_reference.values()))
+    assert merged.to_json() == reference_json(merged_reference, merged)
+    assert result.ends == reference            # the result is unchanged
+    assert other_found == before and other.found == before
 
 
 # -- serialisation -----------------------------------------------------------
