@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Dict, List
 
 import repro
-from repro.parallel.config import ScanConfig
 from repro.serve import Gateway, ServeConfig
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
@@ -155,8 +154,7 @@ async def run_async() -> Dict:
     # stays resident, so the levels measure queueing and execution,
     # not LRU-eviction recompile thrash
     gateway = Gateway(ServeConfig(
-        max_engines=max(CONCURRENCY_LEVELS) + 8, queue_depth=256,
-        scan=ScanConfig(loop_fallback=True)))
+        max_engines=max(CONCURRENCY_LEVELS) + 8, queue_depth=256))
     # warm the engine once so levels measure serving, not compilation
     await gateway.compile("load-0", PATTERN_SETS["web"])
 

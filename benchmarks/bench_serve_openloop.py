@@ -37,7 +37,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.parallel.config import ScanConfig
 from repro.serve import Gateway, MetricsServer, ServeConfig
 from repro.serve.telemetry import scrape_metrics
 
@@ -88,8 +87,7 @@ def make_gateway() -> Gateway:
     return Gateway(ServeConfig(
         max_engines=16, queue_depth=256,
         slo_target_s=SLO_TARGET_S,
-        access_log_path=str(ACCESS_LOG),
-        scan=ScanConfig(loop_fallback=True)))
+        access_log_path=str(ACCESS_LOG)))
 
 
 # -- open-loop sweep ---------------------------------------------------------

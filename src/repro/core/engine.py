@@ -491,11 +491,13 @@ class BitGenEngine(Engine):
         return self._compiled_group_cache
 
     def build_kernels(self) -> None:
-        """Build every group's compiled kernel now (nothing to build on
-        the simulate backend).  With a disk cache attached, process
+        """Build every group's compiled kernel and class-table kernel
+        now (nothing to build on the simulate backend), so no later
+        scan generates code.  With a disk cache attached, process
         workers then load the artefacts instead of recompiling."""
         if self.backend == "compiled":
-            self._compiled_programs()
+            for table in {p.table for p in self._compiled_programs()}:
+                table.kernel  # looked up (or generated) on first access
 
     def _run_group(self, compiled: CompiledGroup,
                    planes) -> ExecutionResult:

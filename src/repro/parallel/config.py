@@ -126,6 +126,10 @@ class ScanConfig:
     #: ``workers > 1`` — worker marshalling dwarfs the scan below it
     #: (``BENCH_parallel.json`` measured 2.4-2.7x slowdowns at 60KB).
     #: Set to 0 to force the parallel path regardless of input size.
+    #: The serve gateway reads it too: a warm compiled request whose
+    #: payload is shorter can run on the event-loop thread, since it
+    #: never waits on a worker pool; a longer one runs on the off-loop
+    #: thread pool.
     min_parallel_bytes: int = 65536
 
     def __post_init__(self):

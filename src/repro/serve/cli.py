@@ -12,7 +12,11 @@ Self-test (CI smoke)::
 The self-test starts a server on an ephemeral port, drives a client
 through the full protocol — ping, compile, one-shot scan, a chunked
 streaming session, an error path, a ``/metrics`` scrape — and checks
-the results against an inline :func:`repro.scan` of the same input.
+the results against an inline :func:`repro.scan` of the same input,
+and that only the cold compile ran off the event loop
+(``repro_serve_loop_offload_total`` rose by exactly one; on
+``--backend simulate`` every request but the refused feed runs off
+it).
 Exit code 0 means every check passed; 1 means a mismatch or failure,
 with the reason on stderr.  The whole round-trip runs under a deadline
 (``--self-test-timeout``): a hang exits 1 with the wire error code
@@ -39,13 +43,23 @@ SELF_TEST_DATA = b"abcbcd cat 42 dog abcd and 7 cats, 99 dogs; abcbcbcd"
 SELF_TEST_SERIES = ("repro_serve_requests_total",
                     "repro_serve_tenant_requests_total",
                     "repro_serve_slo_burn")
+#: requests that ran off the event loop; on the compiled backend the
+#: self-test's only one is its cold compile
+OFFLOAD_SERIES = "repro_serve_loop_offload_total"
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Run the persistent-engine matching gateway "
-                    "(JSONL over TCP; see repro.serve).")
+                    "(JSONL over TCP; see repro.serve).  A request "
+                    "whose engine is resident (or that feeds or "
+                    "closes an open session) and whose payload is "
+                    f"under {ScanConfig.min_parallel_bytes // 1024} KiB "
+                    "runs on the event loop on the compiled backend; "
+                    "compiles, larger payloads, simulated engines and "
+                    "requests arriving while any of those runs use an "
+                    "off-loop thread pool.")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321,
                         help="TCP port (0 = ephemeral)")
@@ -85,9 +99,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="request-latency SLO target for the "
                              "rolling p50/p99/burn gauges")
-    parser.add_argument("--no-offload", action="store_true",
-                        help="run scans inline on the event loop "
-                             "instead of the warm offload pool")
     parser.add_argument("--self-test", action="store_true",
                         help="start on an ephemeral port, run a client "
                              "round-trip, and exit 0/1")
@@ -101,8 +112,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_config_from_args(args) -> ServeConfig:
     scan = ScanConfig(scheme=Scheme[args.scheme], backend=args.backend,
-                      workers=args.workers, executor=args.executor,
-                      loop_fallback=True)
+                      workers=args.workers, executor=args.executor)
     return ServeConfig(max_engines=args.max_engines,
                        queue_depth=args.queue_depth,
                        max_sessions=args.max_sessions,
@@ -111,8 +121,16 @@ def serve_config_from_args(args) -> ServeConfig:
                        access_log_path=args.access_log,
                        session_idle_s=args.session_idle,
                        slo_target_s=args.slo_target,
-                       offload=not args.no_offload,
                        scan=scan)
+
+
+def _sample_value(body: str, name: str) -> float:
+    """The unlabelled sample ``name`` in a /metrics body (0 before the
+    first increment, when the series has no sample yet)."""
+    for line in body.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
 
 
 async def _self_test_body(config: ServeConfig,
@@ -128,6 +146,9 @@ async def _self_test_body(config: ServeConfig,
         pong = await client.ping()
         if not pong.get("ok"):
             failures.append(f"ping failed: {pong}")
+        _, body = await scrape_metrics(server.metrics.host,
+                                       server.metrics.port)
+        offloads_before = _sample_value(body, OFFLOAD_SERIES)
 
         reference = repro.scan(SELF_TEST_PATTERNS, SELF_TEST_DATA,
                                config=config.scan.serial())
@@ -149,7 +170,8 @@ async def _self_test_body(config: ServeConfig,
 
         sid = await client.open_session("selftest", SELF_TEST_PATTERNS)
         streamed: dict = {}
-        for start in range(0, len(SELF_TEST_DATA), 7):
+        chunks = range(0, len(SELF_TEST_DATA), 7)
+        for start in chunks:
             fed = await client.feed("selftest", sid,
                                     SELF_TEST_DATA[start:start + 7])
             for k, ends in fed["matches"].items():
@@ -172,15 +194,27 @@ async def _self_test_body(config: ServeConfig,
         if stats.get("host", {}).get("resident", 0) < 1:
             failures.append(f"no resident engine after serving: {stats}")
 
-        if server.metrics is not None:
-            status, body = await scrape_metrics(
-                server.metrics.host, server.metrics.port)
-            if status != 200:
-                failures.append(f"/metrics returned {status}")
-            for series in SELF_TEST_SERIES:
-                if series not in body:
-                    failures.append(
-                        f"/metrics missing series {series}")
+        status, body = await scrape_metrics(server.metrics.host,
+                                            server.metrics.port)
+        if status != 200:
+            failures.append(f"/metrics returned {status}")
+        for series in SELF_TEST_SERIES:
+            if series not in body:
+                failures.append(f"/metrics missing series {series}")
+        offloads = _sample_value(body, OFFLOAD_SERIES) - offloads_before
+        if config.scan.backend == "compiled":
+            if offloads != 1:
+                failures.append(
+                    f"{OFFLOAD_SERIES} rose by {offloads:g}, not by the "
+                    f"one cold compile: a warm scan, open, feed or close "
+                    f"left the event loop")
+        elif offloads != 4 + len(chunks):
+            # simulated engines run every request off the loop: the
+            # compile, scan, open, feeds and close (the refused feed
+            # is answered on it)
+            failures.append(
+                f"{OFFLOAD_SERIES} rose by {offloads:g}, not by the "
+                f"{4 + len(chunks)} simulated requests")
     finally:
         await client.close()
         await server.stop()

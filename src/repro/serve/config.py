@@ -69,7 +69,16 @@ class BadRequestError(GatewayError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """One object describing how a gateway admits, queues, and serves."""
+    """One object describing how a gateway admits, queues, and serves.
+
+    Where a request runs is not a setting.  A request that cannot
+    compile (its engine is resident, or it feeds or closes an open
+    session), whose engine runs the compiled backend and whose payload
+    is shorter than the engine's ``ScanConfig.min_parallel_bytes`` runs
+    on the event-loop thread, unless another request is running off
+    it; every other request runs on a fixed-width off-loop thread pool
+    (:mod:`repro.serve.gateway`).
+    """
 
     #: engine-registry capacity: compiled engines resident across all
     #: tenants before LRU eviction (:class:`~repro.serve.host.EngineHost`)
@@ -112,15 +121,13 @@ class ServeConfig:
     #: ring capacity of the non-blocking access-log writer; overflow
     #: drops oldest records, never blocks the gateway loop
     access_log_capacity: int = 4096
-    #: execute requests on the shared warm thread pool
-    #: (:func:`repro.parallel.pool.offload_pool`) instead of the event
-    #: loop's own thread, so one slow tenant cannot stall the loop
-    offload: bool = True
-    #: width of the offload thread pool
-    offload_workers: int = 4
     #: default compile/dispatch configuration for hosted engines: the
     #: compiled backend, since a gateway needs matches, not the
-    #: simulator's schedule accounting
+    #: simulator's schedule accounting.  Its ``min_parallel_bytes`` also
+    #: places requests: a warm compiled request with a shorter payload
+    #: can run on the event loop, a longer one runs on the off-loop
+    #: thread pool.
+    #: Hosted engines always compile with ``loop_fallback=True``.
     scan: ScanConfig = field(
         default_factory=lambda: ScanConfig(backend="compiled"))
 
@@ -154,8 +161,6 @@ class ServeConfig:
             raise ValueError("session_idle_s must be positive")
         if self.access_log_capacity < 1:
             raise ValueError("access_log_capacity must be >= 1")
-        if self.offload_workers < 1:
-            raise ValueError("offload_workers must be >= 1")
 
     def effective_warn_depth(self) -> int:
         """The depth that trips the warning counter."""

@@ -20,7 +20,11 @@ miss / refresh / evict), the signals a capacity dashboard needs.
 :meth:`EngineHost.refresh` is the rule-set *update* path: on a miss it
 recompiles incrementally off the tenant's warmest compatible resident
 engine, so pushing a small diff to a large set costs the diff, not
-the set.
+the set.  :meth:`EngineHost.acquire` is the same path without a donor,
+and :meth:`EngineHost.lookup` its hit half alone: the gateway asks it
+on the event-loop thread whether a request can run there, since a hit
+compiles nothing.  A compile builds every kernel of the engine before
+it becomes resident, so a hit never generates code either.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .. import obs
 from ..api import Matcher, fingerprint_patterns
@@ -83,6 +88,32 @@ class HostedEngine:
                 "idle_s": round(time.monotonic() - self.last_used_at, 6)}
 
 
+class EngineKey(NamedTuple):
+    """What a request asks the registry for: a tenant's pattern set
+    under the config it compiles with, and the fingerprint it is
+    resident under (:meth:`EngineHost.key` takes it once)."""
+
+    tenant: str
+    patterns: Sequence[Union[str, object]]
+    config: ScanConfig
+    fingerprint: str
+
+    @property
+    def slot(self) -> Tuple[str, str]:
+        """The registry key: ``(tenant, fingerprint)``."""
+        return (self.tenant, self.fingerprint)
+
+
+def _hostable(config: ScanConfig) -> ScanConfig:
+    """``config`` with ``loop_fallback`` on.  A simulated scan without
+    it raises :class:`~repro.core.overlap.OverlapLimitError` on
+    legitimate input whose loop outgrows one block (Section 8.2); a
+    gateway would answer ``internal`` and count it against its
+    breaker.  Compiled engines never raise it."""
+    return config if config.loop_fallback \
+        else config.replace(loop_fallback=True)
+
+
 class EngineHost:
     """Compile-once, keep-warm, evict-LRU registry of matchers."""
 
@@ -92,48 +123,34 @@ class EngineHost:
             OrderedDict()
         self._lock = threading.Lock()
         self._acquires = 0
+        self._default_scan = _hostable(self.config.scan)
         _ENGINES.set(self.config.max_engines, state="capacity")
         _ENGINES.set(0, state="resident")
 
-    # -- the one entry point -----------------------------------------------
+    # -- lookup and compile -------------------------------------------------
+
+    def key(self, tenant: str, patterns: Sequence[Union[str, object]],
+            config: Optional[ScanConfig] = None) -> EngineKey:
+        """Where ``(tenant, patterns, config)`` lives in the registry.
+        The one place a request's fingerprint is taken, after its
+        config is made hostable (``loop_fallback=True``)."""
+        scan_config = self._default_scan if config is None \
+            else _hostable(config)
+        return EngineKey(tenant, patterns, scan_config,
+                         fingerprint_patterns(patterns, scan_config))
+
+    def lookup(self, key: EngineKey) -> Optional[HostedEngine]:
+        """The resident engine for ``key``, counted as a hit, or None
+        on a miss.  Never compiles."""
+        with self._lock:
+            return self._hit(key)
 
     def acquire(self, tenant: str,
                 patterns: Sequence[Union[str, object]],
                 config: Optional[ScanConfig] = None) -> HostedEngine:
         """The hosted engine for ``(tenant, patterns, config)`` —
         compiled now on first use, reused warm afterwards."""
-        scan_config = config if config is not None else self.config.scan
-        fingerprint = fingerprint_patterns(patterns, scan_config)
-        key = (tenant, fingerprint)
-        with self._lock:
-            self._acquires += 1
-            hosted = self._engines.get(key)
-            if hosted is not None:
-                self._engines.move_to_end(key)
-                hosted.uses += 1
-                hosted.last_use = self._acquires
-                hosted.last_used_at = time.monotonic()
-                _ENGINE_EVENTS.inc(event="hit")
-                return hosted
-        # Compile outside the lock: a slow compile must not block
-        # hits on other pattern sets.  A racing acquire of the same
-        # key may compile twice; the second insert wins the slot and
-        # both callers hold working engines.
-        begin = time.perf_counter()
-        matcher = compile_patterns(patterns, config=scan_config)
-        elapsed = time.perf_counter() - begin
-        _COMPILE_SECONDS.observe(elapsed)
-        _ENGINE_EVENTS.inc(event="miss")
-        hosted = HostedEngine(tenant=tenant, fingerprint=fingerprint,
-                              matcher=matcher, compiled_s=elapsed)
-        hosted.uses = 1
-        with self._lock:
-            hosted.last_use = self._acquires
-            self._engines[key] = hosted
-            self._engines.move_to_end(key)
-            self._evict_over_capacity()
-            _ENGINES.set(len(self._engines), state="resident")
-        return hosted
+        return self.obtain(self.key(tenant, patterns, config))
 
     def refresh(self, tenant: str,
                 patterns: Sequence[Union[str, object]],
@@ -148,53 +165,76 @@ class EngineHost:
         set gets a fresh :class:`HostedEngine` under its own
         fingerprint, and plain LRU eviction retires the old one.
         """
-        scan_config = config if config is not None else self.config.scan
-        fingerprint = fingerprint_patterns(patterns, scan_config)
-        key = (tenant, fingerprint)
+        return self.obtain(self.key(tenant, patterns, config),
+                           incremental=True)
+
+    def obtain(self, key: EngineKey,
+               incremental: bool = False) -> HostedEngine:
+        """The resident engine for ``key``, or a fresh one compiled and
+        inserted — off a donor when ``incremental``.  Every kernel is
+        built before the engine becomes resident, so a hit never
+        generates code."""
         with self._lock:
-            self._acquires += 1
-            hosted = self._engines.get(key)
+            hosted = self._hit(key)
             if hosted is not None:
-                self._engines.move_to_end(key)
-                hosted.uses += 1
-                hosted.last_use = self._acquires
-                hosted.last_used_at = time.monotonic()
-                _ENGINE_EVENTS.inc(event="hit")
                 return hosted
-            donor: Optional[Matcher] = None
-            compile_key = scan_config.compile_key()
-            for resident in reversed(self._engines.values()):
-                if (resident.tenant == tenant and resident.matcher
-                        .config.compile_key() == compile_key):
-                    donor = resident.matcher
-                    break
+            donor = self._donor(key) if incremental else None
+        # Compile outside the lock: a slow compile must not block
+        # hits on other pattern sets.  A racing obtain of the same
+        # key may compile twice; the second insert wins the slot and
+        # both callers hold working engines.
         begin = time.perf_counter()
+        update = None
         if donor is None:
-            matcher = compile_patterns(patterns, config=scan_config)
-            update = None
+            matcher = compile_patterns(key.patterns, config=key.config)
         else:
-            # Compile outside the lock, off the donor's artefacts.
             from ..core.incremental import update_engine
 
-            engine, update = update_engine(donor.engine, patterns,
-                                           config=scan_config)
-            matcher = Matcher(engine, patterns)
+            engine, update = update_engine(donor.engine, key.patterns,
+                                           config=key.config)
+            matcher = Matcher(engine, key.patterns)
+        matcher.engine.build_kernels()
         elapsed = time.perf_counter() - begin
         _COMPILE_SECONDS.observe(elapsed)
         _ENGINE_EVENTS.inc(event="refresh" if donor is not None
                            else "miss")
-        hosted = HostedEngine(tenant=tenant, fingerprint=fingerprint,
-                              matcher=matcher, compiled_s=elapsed)
-        hosted.uses = 1
+        hosted = HostedEngine(tenant=key.tenant,
+                              fingerprint=key.fingerprint,
+                              matcher=matcher, compiled_s=elapsed, uses=1)
         if update is not None:
             hosted.extra["update"] = update.to_dict()
         with self._lock:
+            self._acquires += 1
             hosted.last_use = self._acquires
-            self._engines[key] = hosted
-            self._engines.move_to_end(key)
+            self._engines[key.slot] = hosted
+            self._engines.move_to_end(key.slot)
             self._evict_over_capacity()
             _ENGINES.set(len(self._engines), state="resident")
         return hosted
+
+    def _hit(self, key: EngineKey) -> Optional[HostedEngine]:
+        """Caller holds the lock: the resident engine for ``key``,
+        marked used, or None."""
+        hosted = self._engines.get(key.slot)
+        if hosted is None:
+            return None
+        self._acquires += 1
+        self._engines.move_to_end(key.slot)
+        hosted.uses += 1
+        hosted.last_use = self._acquires
+        hosted.last_used_at = time.monotonic()
+        _ENGINE_EVENTS.inc(event="hit")
+        return hosted
+
+    def _donor(self, key: EngineKey) -> Optional[Matcher]:
+        """Caller holds the lock: the tenant's warmest resident matcher
+        compiled under ``key``'s compile key."""
+        compile_key = key.config.compile_key()
+        for resident in reversed(self._engines.values()):
+            if (resident.tenant == key.tenant and resident.matcher
+                    .config.compile_key() == compile_key):
+                return resident.matcher
+        return None
 
     def _evict_over_capacity(self) -> None:
         """Caller holds the lock.  Engines with live sessions are

@@ -200,7 +200,8 @@ class ServeTelemetry:
                info: Optional[Dict[str, object]] = None) -> None:
         """One finished (or shed) request.  ``info`` carries what the
         execution path learned: fingerprint, session, payload bytes,
-        wall/CPU seconds, trace/span ids."""
+        wall/CPU seconds, trace/span ids, and whether it ran off the
+        event loop (``offloaded``, false for a request that never ran)."""
         info = info or {}
         _TENANT_REQUESTS.inc(tenant=tenant, outcome=outcome)
         _TENANT_SECONDS.observe(latency_s, tenant=tenant)
@@ -213,6 +214,7 @@ class ServeTelemetry:
                 "outcome": outcome,
                 "latency_s": round(latency_s, 6),
                 "queue_delay_s": round(queue_delay_s, 6),
+                "offloaded": bool(info.get("offloaded")),
             }
             for field in ("fingerprint", "session", "bytes",
                           "wall_s", "cpu_s", "trace", "span"):

@@ -55,8 +55,7 @@ def test_flags_reach_serve_config():
          "--workers", "2", "--executor", "thread",
          "--scheme", "SR", "--metrics-port", "0",
          "--access-log", "logs/access.jsonl",
-         "--session-idle", "30", "--slo-target", "0.5",
-         "--no-offload"])
+         "--session-idle", "30", "--slo-target", "0.5"])
     config = serve_config_from_args(args)
     assert config.max_engines == 3
     assert config.queue_depth == 9
@@ -69,7 +68,6 @@ def test_flags_reach_serve_config():
     assert config.access_log_path == "logs/access.jsonl"
     assert config.session_idle_s == 30
     assert config.slo_target_s == 0.5
-    assert config.offload is False
 
 
 def test_default_backend_is_compiled():
