@@ -12,24 +12,13 @@ kernel cache must show hits (structurally repeated groups and repeated
 cells recompile nothing).
 """
 
-import time
-
+from _timing import best_of
 from repro.backend import kernel_cache
 from repro.ir.interpreter import Interpreter
 from repro.parallel.config import ScanConfig
 
 APP = "Snort"
 MIN_SPEEDUP = 5.0
-
-
-def _time(fn, *args, repeat=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        begin = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - begin)
-    return best, result
 
 
 def test_compiled_backend_speedup(ctx, benchmark):
@@ -41,13 +30,13 @@ def test_compiled_backend_speedup(ctx, benchmark):
     simulate = harness.bitgen_engine(workload)
     compiled = harness.bitgen_engine(workload, backend="compiled")
 
-    sim_seconds, sim_result = _time(simulate.match, data, repeat=1)
+    sim_seconds, sim_result = best_of(lambda: simulate.match(data), 1)
 
     cache = kernel_cache()
     cache.stats.reset()
     compiled.match(data)  # warm-up: compiles and caches the kernels
     first_lookups = cache.stats.lookups
-    comp_seconds, comp_result = _time(compiled.match, data)
+    comp_seconds, comp_result = best_of(lambda: compiled.match(data), 3)
     assert comp_result.ends == sim_result.ends
 
     # A second engine over the same workload recompiles nothing: every
@@ -64,9 +53,9 @@ def test_compiled_backend_speedup(ctx, benchmark):
     # Secondary reference: whole-stream big-integer interpretation of
     # the same group programs (no window schedule, no metrics).
     interpreter = Interpreter()
-    interp_seconds, _ = _time(
+    interp_seconds, _ = best_of(
         lambda: [interpreter.run(group.program, data)
-                 for group in simulate.groups], repeat=1)
+                 for group in simulate.groups], 1)
 
     speedup = sim_seconds / comp_seconds
     print()

@@ -25,9 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
+from _timing import best_of
 from repro.core.engine import BitGenEngine
 from repro.parallel.config import ScanConfig
 from repro.workloads.apps import app_by_name
@@ -50,15 +50,6 @@ def compile_at(nodes, level: int, backend: str) -> BitGenEngine:
                           loop_fallback=True, opt_level=level))
 
 
-def best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
-
-
 def measure_app(app_name: str, scale: float, input_bytes: int,
                 repeat: int) -> dict:
     workload = app_by_name(app_name).build(
@@ -77,7 +68,7 @@ def measure_app(app_name: str, scale: float, input_bytes: int,
         stats = engine.optimization_stats()
         compiled = compile_at(workload.nodes, level, "compiled")
         compiled.match(workload.data)        # warm: codegen + cache
-        seconds = best_of(lambda: compiled.match(workload.data), repeat)
+        seconds, _ = best_of(lambda: compiled.match(workload.data), repeat)
         row["levels"][str(level)] = {
             "static_instrs": engine.program_stats()["instrs"],
             "executed_word_ops": result.metrics.thread_word_ops,

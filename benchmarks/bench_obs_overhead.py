@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 import repro.obs as obs
+from _timing import best_of
 from repro.core.engine import BitGenEngine
 from repro.parallel.config import ScanConfig
 from repro.workloads.apps import app_by_name
@@ -59,15 +60,6 @@ def null_span_cost() -> float:
     return best / iterations
 
 
-def best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
-
-
 def measure_app(app_name: str, scale: float, input_bytes: int,
                 repeat: int, per_call: float) -> dict:
     workload = app_by_name(app_name).build(
@@ -77,10 +69,10 @@ def measure_app(app_name: str, scale: float, input_bytes: int,
                                    loop_fallback=True))
     engine.match(workload.data)              # warm: codegen + cache
 
-    off_seconds = best_of(lambda: engine.match(workload.data), repeat)
+    off_seconds, _ = best_of(lambda: engine.match(workload.data), repeat)
 
     tracer = obs.start_tracing()
-    on_seconds = best_of(lambda: engine.match(workload.data), repeat)
+    on_seconds, _ = best_of(lambda: engine.match(workload.data), repeat)
     obs.stop_tracing()
     # Dynamic span-call count of ONE traced scan: the recorded spans
     # are exactly the obs.span() calls the disabled path also makes.

@@ -4,17 +4,23 @@ per-fault-kind recovery latency.
 Not a paper experiment — this audits :mod:`repro.resilience` itself.
 Two questions:
 
-1. **What does resilience cost when nothing faults?**  The hooks on a
-   clean dispatch are ``chaos.maybe_inject``/``chaos.armed`` (two env
-   reads when disarmed), one breaker ``allow()``, one breaker
-   ``record_success()``, and a ``Deadline`` that is ``None``-checked
-   per wait.  As with the obs no-op guard, the bound is computed:
-   count the hook sites a dispatch executes, measure each disabled
-   hook's per-call cost directly, and bound the overhead as
+1. **What does resilience cost when nothing faults?**  The dispatch
+   measured is a warm :meth:`Harness.run_all` grid on two thread
+   workers (Snort and Bro217 at scale 0.005 with 2 KiB inputs, times
+   BitGen and HS-1T: four cells of a few milliseconds, so a recovery
+   shows against the clean dispatch; the pool's one job, since scans
+   never reach it).  The hooks on a clean dispatch are
+   ``chaos.maybe_inject``/``chaos.armed`` (two env reads when
+   disarmed), one breaker ``allow()``, one breaker
+   ``record_success()``, one worker-side ``maybe_inject`` per cell,
+   and a ``Deadline`` that is ``None``-checked per wait.  As with the
+   obs no-op guard, the bound is computed: count the hook sites a
+   dispatch executes, measure each disabled hook's per-call cost
+   directly, and bound the overhead as
    ``hooks * cost / dispatch_wall_time``.  CI fails if that fraction
    exceeds :data:`MAX_CLEAN_OVERHEAD` (the ISSUE 7 budget is 2%).
-2. **What does recovery cost?**  Wall-clock latency of a dispatch
-   that eats one transient injected fault, per fault kind, at
+2. **What does recovery cost?**  Wall-clock latency of a grid
+   dispatch that eats one transient injected fault, per fault kind, at
    ``max_retries`` 0 (inline degrade), 1, and 2 — recorded, not
    asserted; recovery is allowed to cost what it costs.
 
@@ -32,48 +38,39 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.engine import BitGenEngine
-from repro.gpu.machine import CTAGeometry
+from _timing import best_of
 from repro.parallel import pool as pool_mod
 from repro.parallel.config import ScanConfig
-from repro.parallel.scan import ParallelScanner, plan_stream_shards
+from repro.perf.harness import Harness
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan, ChaosRule
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 
-TINY = CTAGeometry(threads=4, word_bits=8)
-PATTERNS = ["a(bc)*d", "cat|dog", "[0-9][0-9]", "virus[0-9]"]
-DATA = b"abcbcd cat 42 virus7 dog abcd " * 512
-STREAMS = [DATA[: 1 << 12], DATA[: 1 << 13], DATA[: 1 << 12],
-           DATA, DATA[: 1 << 13]]
+APPS = ["Snort", "Bro217"]
+ENGINES = ("BitGen", "HS-1T")
 
 #: CI guard: disarmed resilience hooks may cost at most this fraction
 #: of a clean parallel dispatch's wall time.
 MAX_CLEAN_OVERHEAD = 0.02
 
 
-def build_engine():
-    return BitGenEngine.compile(
-        PATTERNS, config=ScanConfig(geometry=TINY, loop_fallback=True,
-                                    backend="compiled"))
+def build_harness() -> Harness:
+    """The grid's harness, warmed: every workload built and every
+    engine compiled, so a dispatch times the cells' scans."""
+    harness = Harness(scale=0.005, input_bytes=2048)
+    harness.run_all(APPS, ENGINES)
+    return harness
 
 
 def thread_config(**extra):
-    defaults = dict(geometry=TINY, loop_fallback=True,
-                    backend="compiled", workers=2, executor="thread",
-                    min_parallel_bytes=0)
+    defaults = dict(workers=2, executor="thread")
     defaults.update(extra)
     return ScanConfig(**defaults)
 
 
-def best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
+def grid(harness, config):
+    return harness.run_all(APPS, ENGINES, config=config)
 
 
 def per_call_costs() -> dict:
@@ -98,20 +95,19 @@ def per_call_costs() -> dict:
     return costs
 
 
-def clean_path_guard(engine, repeat: int) -> dict:
-    """The computed clean-path bound over a warm parallel dispatch."""
+def clean_path_guard(harness, repeat: int) -> dict:
+    """The computed clean-path bound over a warm grid dispatch."""
     config = thread_config()
-    scanner = ParallelScanner(engine, config)
-    scanner.match_many(STREAMS)              # warm pool + kernels
-    wall = best_of(lambda: scanner.match_many(STREAMS), repeat)
-    assert scanner.faults == []
+    grid(harness, config)                    # warm pool + worker harness
+    wall, runs = best_of(lambda: grid(harness, config), repeat)
+    assert harness.last_scan_faults == []
 
-    shards = len(plan_stream_shards(STREAMS, config.workers))
+    shards = len(runs)
     costs = per_call_costs()
     # Hook sites on one clean dispatch: maybe_inject + armed() in
     # _acquire (charged as two maybe_inject-class env reads), one
     # breaker allow(), one record_success(), and one worker-side
-    # maybe_inject per shard.
+    # maybe_inject per shard (grid cell).
     hook_seconds = ((2 + shards) * costs["chaos_maybe_inject"]
                     + costs["breaker_allow"]
                     + costs["breaker_record_success"])
@@ -125,9 +121,10 @@ def clean_path_guard(engine, repeat: int) -> dict:
     }
 
 
-def recovery_latency(engine, kind: str, max_retries: int,
+def recovery_latency(harness, kind: str, max_retries: int,
                      clean_wall: float) -> dict:
-    """Wall time of one dispatch that eats a single transient fault."""
+    """Wall time of one grid dispatch that eats a single transient
+    fault."""
     os.environ[chaos.SLEEP_ENV] = "0.5"
     chaos.install(ChaosPlan(rules=(
         ChaosRule(site="worker.*", kind=kind, max_count=1),)))
@@ -136,12 +133,12 @@ def recovery_latency(engine, kind: str, max_retries: int,
             on_fault="retry", max_retries=max_retries,
             retry_backoff=0.01,
             worker_timeout=0.3 if kind == "timeout" else None)
-        scanner = ParallelScanner(engine, config)
         begin = time.perf_counter()
-        scanner.match_many(STREAMS)
+        grid(harness, config)
         wall = time.perf_counter() - begin
-        fallbacks = sorted({f.fallback for f in scanner.faults})
-        retries = max((f.retries for f in scanner.faults), default=0)
+        faults = harness.last_scan_faults
+        fallbacks = sorted({f.fallback for f in faults})
+        retries = max((f.retries for f in faults), default=0)
     finally:
         chaos.reset()
         pool_mod.breaker().reset()
@@ -150,7 +147,7 @@ def recovery_latency(engine, kind: str, max_retries: int,
         "max_retries": max_retries,
         "wall_seconds": wall,
         "recovery_seconds": max(wall - clean_wall, 0.0),
-        "faults": len(scanner.faults),
+        "faults": len(faults),
         "fallbacks": fallbacks,
         "retries_used": retries,
     }
@@ -158,23 +155,24 @@ def recovery_latency(engine, kind: str, max_retries: int,
 
 def run(quick: bool) -> dict:
     repeat = 3 if quick else 5
-    engine = build_engine()
     chaos.reset()
     pool_mod.breaker().reset()
+    harness = build_harness()
 
-    guard = clean_path_guard(engine, repeat)
+    guard = clean_path_guard(harness, repeat)
     clean_wall = guard["dispatch_wall_seconds"]
 
     recovery = []
     for kind in ("exception", "timeout"):
         for max_retries in (0, 1, 2):
             recovery.append(
-                recovery_latency(engine, kind, max_retries,
+                recovery_latency(harness, kind, max_retries,
                                  clean_wall))
 
     payload = {
         "benchmark": "repro.resilience overhead: clean-path guard and "
-                     "recovery latency per fault kind",
+                     "recovery latency per fault kind, over a warm "
+                     "harness grid dispatch",
         "mode": "quick" if quick else "full",
         "max_clean_overhead_budget": MAX_CLEAN_OVERHEAD,
         "clean_path": guard,
@@ -187,8 +185,8 @@ def run(quick: bool) -> dict:
           f"{costs['chaos_maybe_inject'] * 1e9:.0f} ns/call")
     print(f"  breaker allow()+record_success(): "
           f"{(costs['breaker_allow'] + costs['breaker_record_success']) * 1e9:.0f} ns")
-    print(f"  clean dispatch: {clean_wall * 1e3:.2f} ms over "
-          f"{guard['shards']} shards -> clean-path bound "
+    print(f"  clean grid dispatch: {clean_wall * 1e3:.2f} ms over "
+          f"{guard['shards']} cells -> clean-path bound "
           f"{guard['clean_overhead_bound']:.4%} "
           f"(budget {MAX_CLEAN_OVERHEAD:.0%})")
     for row in recovery:

@@ -28,6 +28,7 @@ import sys
 import time
 from pathlib import Path
 
+from _timing import best_of
 from repro.api import load_patterns_file
 from repro.core.engine import BitGenEngine
 from repro.core.incremental import update_engine
@@ -62,15 +63,6 @@ def synthetic_rules(count: int) -> list:
     return rules
 
 
-def best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
-
-
 def measure_set(rules: list, repeat: int) -> dict:
     config = ScanConfig(backend="compiled", grouping="fingerprint",
                         loop_fallback=True)
@@ -87,9 +79,9 @@ def measure_set(rules: list, repeat: int) -> dict:
     # -- scan: literal-sparse input, gate off vs on -------------------
     gated = config.replace(prefilter=True)
     engine.match(SPARSE_INPUT)                   # warm kernel caches
-    plain_seconds = best_of(
+    plain_seconds, _ = best_of(
         lambda: engine.match(SPARSE_INPUT), repeat)
-    prefiltered_seconds = best_of(
+    prefiltered_seconds, _ = best_of(
         lambda: engine.match(SPARSE_INPUT, config=gated), repeat)
     plain = engine.match(SPARSE_INPUT)
     prefiltered = engine.match(SPARSE_INPUT, config=gated)

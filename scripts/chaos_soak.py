@@ -1,21 +1,27 @@
-"""Chaos soak: randomized fault injection over the scan pipeline.
+"""Chaos soak: randomized fault injection over harness grid dispatch.
 
-The CI ``chaos-soak`` job's entry point.  Runs the parallel scan
-surfaces (stream shards, group shards, streaming sessions) repeatedly
-under a **seeded** :class:`ChaosPlan` for every fault kind crossed
-with both executors, and fails loudly if any of the resilience
-contracts break:
+The CI ``chaos-soak`` job's entry point.  Runs a small
+:meth:`Harness.run_all` grid (every Table 1 workload at scale 0.005
+with 2 KiB inputs, times every engine: 50 cells of a few milliseconds
+each once warm) through the worker pool repeatedly under a **seeded**
+:class:`ChaosPlan` for every fault kind crossed with both executors,
+and fails loudly if any of the resilience contracts break:
 
-* results must stay **bit-identical to serial** through every
+* grid rows must stay **identical to the serial grid** through every
   recovery path (degrade, retry, deadline, breaker);
+* every fault kind must fire at least once;
 * ``on_fault="fail"`` must raise :class:`ScanAbortedError`;
 * ``on_fault="retry"`` must recover a transient fault *without*
-  touching the inline serial fallback;
-* a deadline scan must return within the deadline plus bounded
+  touching the inline fallback;
+* a deadline grid must return within the deadline plus bounded
   recovery slack.
 
+Scans never reach the pool (they run in the calling thread), so the
+grid is what the soak drives.  Each round re-seeds the plan: process
+workers are forked afresh for every armed dispatch from the same
+parent state, so one seed would replay one draw sequence every round.
 The matrix skips ``thread x exit`` on purpose: an ``exit`` injection
-in a thread worker is ``os._exit`` of the harness itself.
+in a thread worker is ``os._exit`` of the soak itself.
 
 Usage::
 
@@ -39,28 +45,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import obs  # noqa: E402
-from repro.core.engine import BitGenEngine  # noqa: E402
-from repro.core.streaming import StreamingMatcher  # noqa: E402
-from repro.gpu.machine import CTAGeometry  # noqa: E402
 from repro.parallel.config import ScanConfig  # noqa: E402
 from repro.parallel import pool as pool_mod  # noqa: E402
 from repro.parallel.pool import shutdown  # noqa: E402
-from repro.parallel.scan import ParallelScanner, parallel_sessions  # noqa: E402
+from repro.perf.harness import ENGINE_NAMES, Harness  # noqa: E402
 from repro.resilience import chaos  # noqa: E402
 from repro.resilience.chaos import ChaosPlan, ChaosRule  # noqa: E402
 from repro.resilience.policy import ScanAbortedError  # noqa: E402
+from repro.workloads.apps import ALL_APPS  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-TINY = CTAGeometry(threads=4, word_bits=8)
 
-PATTERNS = ["a(bc)*d", "cat|dog", "[0-9][0-9]", "virus[0-9]"]
-DATA = b"abcbcd cat 42 virus7 dog abcd " * 24
-STREAMS = [DATA[:60], DATA[:150], DATA[:60], DATA[:240], DATA[:150]]
-SESSIONS = [
-    [b"xx virus1 y", b"y virus2 abcb", b"cd dog virus3"],
-    [b"hot dog abc", b"bcd cat 42 ", b"abcd" * 6],
-    [b"quiet chunk", b"still quiet", b"virus9 at last"],
-]
+APPS = [app.name for app in ALL_APPS]
+ENGINES = ENGINE_NAMES
 
 #: the soak matrix: every fault kind on both executors, except the
 #: suicidal thread+exit cell
@@ -78,20 +75,16 @@ INJECT_PROBABILITY = 0.05
 KIND_PROBABILITY = {"pool": 0.25, "exit": 0.15}
 
 
-def sig(result):
-    return {k: sorted(v) for k, v in result.ends.items()}
-
-
-def build_engine():
-    return BitGenEngine.compile(
-        PATTERNS, config=ScanConfig(geometry=TINY, loop_fallback=True,
-                                    backend="compiled"))
+def rows(runs):
+    """What a pooled grid must share with the serial one, cell by
+    cell."""
+    return [(run.app, run.engine, run.match_count, run.mbps,
+             run.metrics) for run in runs]
 
 
 def cell_config(executor: str, kind: str) -> ScanConfig:
     return ScanConfig(
-        geometry=TINY, loop_fallback=True, backend="compiled",
-        workers=2, executor=executor, min_parallel_bytes=0,
+        workers=2, executor=executor,
         worker_timeout=0.25 if kind == "timeout" else None)
 
 
@@ -103,35 +96,23 @@ def chaos_spec(kind: str, seed: int) -> str:
                   probability=probability),)).to_spec()
 
 
-def soak_cell(engine, baselines, executor: str, kind: str, seed: int,
+def soak_cell(harness, serial, executor: str, kind: str, seed: int,
               rounds: int) -> dict:
-    """One matrix cell: `rounds` passes of every scan surface under
-    env-armed chaos (env so process workers inherit it)."""
-    serial_streams, serial_match, serial_sessions = baselines
-    os.environ[chaos.CHAOS_ENV] = chaos_spec(kind, seed)
+    """One matrix cell: ``rounds`` grid dispatches under env-armed
+    chaos (env so process workers inherit it), re-seeded per round."""
     os.environ[chaos.SLEEP_ENV] = "0.5"
-    chaos.reset()
-    faults = {"stream": 0, "group": 0, "session": 0}
+    faults = 0
     mismatches = 0
     config = cell_config(executor, kind)
     try:
-        for _ in range(rounds):
-            scanner = ParallelScanner(engine, config)
-            results = scanner.match_many(STREAMS)
-            if [sig(r) for r in results] != serial_streams:
+        for round_index in range(rounds):
+            os.environ[chaos.CHAOS_ENV] = chaos_spec(
+                kind, seed * 1000 + round_index)
+            chaos.reset()
+            runs = harness.run_all(APPS, ENGINES, config=config)
+            if rows(runs) != serial:
                 mismatches += 1
-            faults["stream"] += len(scanner.faults)
-
-            scanner = ParallelScanner(engine, config)
-            merged = scanner.match(DATA)
-            if sig(merged) != serial_match:
-                mismatches += 1
-            faults["group"] += len(scanner.faults)
-
-            reports = parallel_sessions(engine, SESSIONS, config)
-            if [dict(r.items()) for r in reports] != serial_sessions:
-                mismatches += 1
-            faults["session"] += len(engine.last_scan_faults)
+            faults += len(harness.last_scan_faults)
     finally:
         os.environ.pop(chaos.CHAOS_ENV, None)
         os.environ.pop(chaos.SLEEP_ENV, None)
@@ -141,19 +122,17 @@ def soak_cell(engine, baselines, executor: str, kind: str, seed: int,
         # checks) onto the inline path.
         pool_mod.breaker().reset()
     return {"executor": executor, "kind": kind, "seed": seed,
-            "rounds": rounds, "faults": faults,
-            "fault_total": sum(faults.values()),
+            "rounds": rounds, "fault_total": faults,
             "mismatches": mismatches}
 
 
-def check_fail_policy(engine) -> None:
+def check_fail_policy(harness) -> None:
     chaos.install(ChaosPlan(rules=(
         ChaosRule(site="worker.*", kind="exception"),)))
     try:
-        scanner = ParallelScanner(engine, cell_config("thread", "x")
-                                  .replace(on_fault="fail"))
         try:
-            scanner.match_many(STREAMS)
+            harness.run_all(APPS, ENGINES, config=cell_config(
+                "thread", "x").replace(on_fault="fail"))
         except ScanAbortedError as exc:
             assert exc.fault.fallback == "abort", exc.fault
         else:
@@ -164,40 +143,38 @@ def check_fail_policy(engine) -> None:
         pool_mod.breaker().reset()
 
 
-def check_retry_policy(engine, serial_streams) -> None:
+def check_retry_policy(harness, serial) -> None:
     chaos.install(ChaosPlan(rules=(
         ChaosRule(site="worker.*", kind="exception", max_count=1),)))
     try:
-        scanner = ParallelScanner(
-            engine, cell_config("thread", "x").replace(
-                on_fault="retry", max_retries=2, retry_backoff=0.01))
-        results = scanner.match_many(STREAMS)
-        assert [sig(r) for r in results] == serial_streams
-        assert scanner.faults, "transient fault never fired"
-        for fault in scanner.faults:
+        runs = harness.run_all(APPS, ENGINES, config=cell_config(
+            "thread", "x").replace(on_fault="retry", max_retries=2,
+                                   retry_backoff=0.01))
+        assert rows(runs) == serial
+        assert harness.last_scan_faults, "transient fault never fired"
+        for fault in harness.last_scan_faults:
             assert fault.fallback == "retry", \
-                f"retry policy fell back serially: {fault.summary()}"
+                f"retry policy fell back inline: {fault.summary()}"
     finally:
         chaos.reset()
         pool_mod.breaker().reset()
 
 
-def check_deadline(engine, serial_streams) -> None:
+def check_deadline(harness, serial) -> None:
     os.environ[chaos.SLEEP_ENV] = "2.0"
     chaos.install(ChaosPlan(rules=(
         ChaosRule(site="worker.*", kind="timeout"),)))
     try:
-        scanner = ParallelScanner(
-            engine, cell_config("thread", "x").replace(deadline_s=0.4))
         started = time.monotonic()
-        results = scanner.match_many(STREAMS)
+        runs = harness.run_all(APPS, ENGINES, config=cell_config(
+            "thread", "x").replace(deadline_s=0.4))
         elapsed = time.monotonic() - started
-        assert [sig(r) for r in results] == serial_streams
-        assert {f.kind for f in scanner.faults} == {"deadline"}, \
-            scanner.faults
+        assert rows(runs) == serial
+        faults = harness.last_scan_faults
+        assert {f.kind for f in faults} == {"deadline"}, faults
         # deadline + inline recovery of the stragglers, nowhere near
         # the 2 s the workers sleep
-        assert elapsed < 1.8, f"deadline scan took {elapsed:.2f}s"
+        assert elapsed < 1.8, f"deadline grid took {elapsed:.2f}s"
     finally:
         os.environ.pop(chaos.SLEEP_ENV, None)
         chaos.reset()
@@ -226,24 +203,17 @@ def counter_snapshot() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=8,
-                        help="scan rounds per matrix cell")
+                        help="grid dispatches per matrix cell")
     parser.add_argument("--seed", type=int, default=20260807,
                         help="base chaos seed (cell i uses seed+i)")
     options = parser.parse_args(argv)
 
-    engine = build_engine()
-    serial_streams = [sig(r) for r in engine.match_many(STREAMS)]
-    serial_match = sig(engine.match(DATA))
-    serial_session_reports = []
-    for chunks in SESSIONS:
-        matcher = StreamingMatcher(engine)
-        serial_session_reports.append(
-            dict(matcher.feed_all(chunks).items()))
-    baselines = (serial_streams, serial_match, serial_session_reports)
+    harness = Harness(scale=0.005, input_bytes=2048)
+    serial = rows(harness.run_all(APPS, ENGINES))
 
     cells = []
     for index, (executor, kind) in enumerate(MATRIX):
-        cell = soak_cell(engine, baselines, executor, kind,
+        cell = soak_cell(harness, serial, executor, kind,
                          options.seed + index, options.rounds)
         cells.append(cell)
         print(f"  {executor:<8} {kind:<10} rounds={cell['rounds']} "
@@ -251,16 +221,19 @@ def main(argv=None) -> int:
               f"mismatches={cell['mismatches']}")
 
     print("  directed policy checks: fail / retry / deadline")
-    check_fail_policy(engine)
-    check_retry_policy(engine, serial_streams)
-    check_deadline(engine, serial_streams)
+    check_fail_policy(harness)
+    check_retry_policy(harness, serial)
+    check_deadline(harness, serial)
     shutdown()
 
     total_faults = sum(cell["fault_total"] for cell in cells)
     total_mismatches = sum(cell["mismatches"] for cell in cells)
     payload = {
-        "benchmark": "chaos soak: seeded fault injection over the "
-                     "parallel scan pipeline",
+        "benchmark": "chaos soak: seeded fault injection over "
+                     "harness grid dispatch",
+        "grid": {"apps": APPS, "engines": list(ENGINES),
+                 "scale": harness.scale,
+                 "input_bytes": harness.input_bytes},
         "seed": options.seed,
         "rounds_per_cell": options.rounds,
         "inject_probability": INJECT_PROBABILITY,
@@ -281,9 +254,9 @@ def main(argv=None) -> int:
 
     print(f"chaos soak: {len(cells)} cells, "
           f"{total_faults} faults recovered, "
-          f"{total_mismatches} serial/parallel mismatches")
+          f"{total_mismatches} serial/pooled grid mismatches")
     if total_mismatches:
-        print("FAIL: parallel results diverged from serial under chaos")
+        print("FAIL: pooled grid rows diverged from serial under chaos")
         return 1
     if total_faults == 0:
         print("FAIL: chaos never bit — injection sites or the plan "

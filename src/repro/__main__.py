@@ -6,7 +6,7 @@ Usage examples::
     python -m repro -f rules.txt -i payload.bin --engine hyperscan
     python -m repro 'colou?r' --text '...' --scheme SR --stats
     python -m repro 'a(bc)*d' --kernel          # print the CUDA-like kernel
-    python -m repro scan --patterns rules.txt --workers 4 data.bin
+    python -m repro scan --patterns rules.txt data.bin
     python -m repro trace Bro217 --export chrome -o trace.json
     python -m repro serve --port 8321        # persistent matching gateway
     python -m repro serve --self-test        # end-to-end smoke, exit 0/1
@@ -27,9 +27,8 @@ from .engines.icgrep import ICgrepEngine
 from .engines.ngap import NgAPEngine
 from .engines.re2 import RE2Engine
 from .api import load_patterns_file
-from .parallel.config import (BACKENDS, EXECUTORS, GROUPINGS,
-                              ON_FAULT_POLICIES, PREFILTER_IMPLS,
-                              START_METHODS, ScanConfig)
+from .parallel.config import (BACKENDS, GROUPINGS, PREFILTER_IMPLS,
+                              ScanConfig)
 
 ENGINES = {
     "bitgen": BitGenEngine,
@@ -90,7 +89,7 @@ def load_input(args) -> bytes:
 def build_scan_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro scan",
-        description="Sharded parallel scan emitting a ScanReport as "
+        description="Scan input files, emitting a ScanReport as "
                     "JSON (one report per input file).")
     parser.add_argument("inputs", nargs="*", metavar="FILE",
                         help="input files to scan (stdin when omitted)")
@@ -110,14 +109,6 @@ def build_scan_parser() -> argparse.ArgumentParser:
                         default="balanced",
                         help="regex grouping strategy (fingerprint "
                              "scales best to large rule sets)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker shards (1 = serial)")
-    parser.add_argument("--executor", choices=EXECUTORS, default="process")
-    parser.add_argument("--start-method", choices=START_METHODS,
-                        default=None,
-                        help="process-pool start method (default: "
-                             "$REPRO_PARALLEL_START_METHOD, else fork "
-                             "where available)")
     parser.add_argument("--backend", choices=BACKENDS, default="simulate",
                         help="simulate (default) also models the GPU "
                              "schedule behind the paper's metrics; "
@@ -125,19 +116,6 @@ def build_scan_parser() -> argparse.ArgumentParser:
                              "faster, with estimated metrics")
     parser.add_argument("--scheme", choices=[s.name for s in Scheme],
                         default="ZBS")
-    parser.add_argument("--on-fault", choices=ON_FAULT_POLICIES,
-                        default="degrade",
-                        help="worker-fault policy: degrade inline "
-                             "(default), retry on a fresh pool with "
-                             "backoff, or fail the scan")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="retries per faulted shard "
-                             "(--on-fault retry only)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="scan-level deadline; expired shards "
-                             "degrade inline and are reported as "
-                             "deadline faults")
     parser.add_argument("--indent", type=int, default=2,
                         help="JSON indentation (0 = compact)")
     return parser
@@ -152,15 +130,10 @@ def scan_main(argv: List[str]) -> int:
     if not patterns:
         raise SystemExit(f"no patterns in {args.patterns}")
     config = ScanConfig(scheme=Scheme[args.scheme], backend=args.backend,
-                        workers=args.workers, executor=args.executor,
-                        start_method=args.start_method,
                         loop_fallback=True,
                         grouping=args.grouping,
                         prefilter=args.prefilter,
-                        prefilter_impl=args.prefilter_impl,
-                        on_fault=args.on_fault,
-                        max_retries=args.max_retries,
-                        deadline_s=args.deadline)
+                        prefilter_impl=args.prefilter_impl)
     engine = BitGenEngine.compile(patterns, config=config)
 
     if args.inputs:
@@ -173,27 +146,14 @@ def scan_main(argv: List[str]) -> int:
         names = ["<stdin>"]
         streams = [sys.stdin.buffer.read()]
 
-    from .resilience import ScanAbortedError
-
-    try:
-        results = engine.match_many(streams)
-    except ScanAbortedError as exc:
-        print(f"scan aborted (on_fault=fail): {exc.fault.summary()}",
-              file=sys.stderr)
-        return 2
     reports = []
-    for name, result in zip(names, results):
-        report = result.report()
-        payload = report.to_dict()
+    for name, result in zip(names, engine.match_many(streams)):
+        payload = result.report().to_dict()
         payload["file"] = name
-        payload["dispatch"] = engine.last_dispatch
         gate = getattr(result, "prefilter", None)
         if gate is not None:
             payload["prefilter"] = gate.to_dict()
-        payload["faults"] = [f.to_dict() for f in engine.last_scan_faults]
         reports.append(payload)
-    for fault in engine.last_scan_faults:
-        print(f"fault: {fault.summary()}", file=sys.stderr)
     indent = args.indent if args.indent > 0 else None
     out = reports[0] if len(reports) == 1 else reports
     print(json.dumps(out, indent=indent))
@@ -205,8 +165,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
         prog="repro trace",
         description="Run one standard workload with tracing enabled "
                     "and export the spans (and metrics): a compile, a "
-                    "sharded parallel scan, and every pass/codegen/"
-                    "shard/exec span in between.")
+                    "scan, and every pass/codegen/exec span in "
+                    "between.")
     parser.add_argument("app", help="workload application from Table 1 "
                                     "(e.g. Snort, Bro217, ClamAV)")
     parser.add_argument("--export",
@@ -222,10 +182,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
                         default="compiled")
     parser.add_argument("--scheme", choices=[s.name for s in Scheme],
                         default="ZBS")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker shards for the parallel scan")
-    parser.add_argument("--executor", choices=EXECUTORS,
-                        default="thread")
     parser.add_argument("--scale", type=float, default=0.02,
                         help="workload scale factor (rule-set fraction)")
     parser.add_argument("--input-bytes", type=int, default=4096,
@@ -241,12 +197,9 @@ def trace_main(argv: List[str]) -> int:
     spec = app_by_name(args.app)
     workload = spec.build(scale=args.scale, seed=0,
                           input_bytes=int(args.input_bytes / args.scale))
-    # min_parallel_bytes=0 forces the worker pool even on the scaled
-    # input, so the exported trace shows real sharded dispatch.
     config = ScanConfig(scheme=Scheme[args.scheme],
-                        backend=args.backend, workers=args.workers,
-                        executor=args.executor, cta_count=4,
-                        min_parallel_bytes=0, loop_fallback=True)
+                        backend=args.backend, cta_count=4,
+                        loop_fallback=True)
 
     tracer = obs.start_tracing()
     engine = BitGenEngine._compile_config(workload.nodes, config)
@@ -272,7 +225,7 @@ def trace_main(argv: List[str]) -> int:
                           in sorted(categories.items()))
     print(f"{spec.name}: {len(workload.patterns)} patterns, "
           f"{len(workload.data)} bytes, {report.match_count()} "
-          f"matches (dispatch={report.dispatch})")
+          f"matches")
     print(f"trace: {len(spans)} spans ({breakdown}) -> {out}")
     cache = obs.registry().counter(
         "repro_kernel_cache_lookups_total",

@@ -4,7 +4,7 @@ Two functions are the supported surface for matching::
 
     import repro
 
-    matcher = repro.compile(["a(bc)*d", "colou?r"], workers=4)
+    matcher = repro.compile(["a(bc)*d", "colou?r"], backend="compiled")
     report = matcher.scan(data)                 # one-shot
     session = matcher.stream()                  # chunked
     report = repro.scan(["cat|dog"], data)      # compile-and-scan
@@ -13,7 +13,7 @@ Two functions are the supported surface for matching::
 compiled :class:`~repro.core.engine.BitGenEngine` exposing ``.scan()``,
 ``.stream()``, and ``.config``.  Configuration knobs are the
 :class:`~repro.parallel.ScanConfig` fields, passed either as keywords
-(``repro.compile(p, scheme=Scheme.SR, workers=4)``) or as one
+(``repro.compile(p, scheme=Scheme.SR, prefilter=True)``) or as one
 ``config=ScanConfig(...)`` object; keywords layer on top of ``config``.
 
 Everything deeper — ``BitGenEngine``, ``StreamingMatcher``, the
@@ -146,8 +146,8 @@ class Matcher:
 
     def scan(self, data: bytes,
              config: Optional[ScanConfig] = None, **knobs) -> ScanReport:
-        """Scan one input; dispatch knobs may be overridden per call
-        (``matcher.scan(data, workers=4)``)."""
+        """Scan one input; scan-time knobs may be overridden per call
+        (``matcher.scan(data, prefilter=True)``)."""
         if config is not None or knobs:
             return self._engine.scan(
                 data, config=resolve_knobs(config or self.config, knobs))
@@ -156,17 +156,11 @@ class Matcher:
     def scan_many(self, streams: Sequence[bytes],
                   config: Optional[ScanConfig] = None,
                   **knobs) -> List[ScanReport]:
-        """Scan several independent inputs, one report each.  Every
-        report carries the dispatch's mode and all of its shard
-        faults, as ``repro scan`` prints them."""
+        """Scan several independent inputs, one report each."""
         effective = resolve_knobs(config or self.config, knobs) \
             if (config is not None or knobs) else None
-        engine = self._engine
-        results = engine.match_many(streams, config=effective)
-        return [ScanReport.from_result(result,
-                                       faults=engine.last_scan_faults,
-                                       dispatch=engine.last_dispatch)
-                for result in results]
+        return [result.report() for result
+                in self._engine.match_many(streams, config=effective)]
 
     def stream(self, config: Optional[ScanConfig] = None, **knobs):
         """A chunked :class:`~repro.core.streaming.StreamingMatcher`

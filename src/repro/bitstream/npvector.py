@@ -3,7 +3,7 @@
 An alternative backend to :class:`repro.bitstream.BitVector` storing the
 stream as a ``uint64`` word array — the word-level layout a real kernel
 uses, and the one code outside the compiled kernels passes around
-(basis environments, dispatch outputs, shard payloads).
+(basis environments, dispatch outputs).
 
 It is not the faster substrate.  Per op on a 2-CPU host (Python 3.11,
 NumPy 2.4): at 8 Kbit an AND / ANDN / advance costs 1.1 / 1.2 / 7.1 µs

@@ -60,9 +60,6 @@ _COMPILES = _REG.counter(
 _COMPILE_SECONDS = _REG.histogram(
     "repro_engine_compile_seconds",
     "Wall time of one BitGenEngine compilation")
-_SCAN_DISPATCH = _REG.counter(
-    "repro_scan_dispatch_total",
-    "Scan dispatch decisions: serial, parallel, serial-small-input")
 _SCAN_BYTES = _REG.counter(
     "repro_scan_input_bytes_total", "Bytes scanned, by backend")
 _SCAN_MATCHES = _REG.counter(
@@ -125,7 +122,7 @@ class BitGenResult(MatchResult):
 
     def report(self, stream_offset: int = 0) -> ScanReport:
         """This result as the unified :class:`ScanReport` view —
-        the same type streaming and parallel scans return."""
+        the same type streaming scans return."""
         return ScanReport.from_result(self, stream_offset=stream_offset)
 
 
@@ -149,17 +146,6 @@ class BitGenEngine(Engine):
         #: patterns given as ASTs): incremental updates reuse the node
         #: of every unchanged text instead of parsing it again
         self._texts = texts
-        #: faults of the most recent parallel dispatch (always empty
-        #: after a serial scan)
-        self.last_scan_faults: list = []
-        #: how the most recent scan/match_many dispatched: "serial",
-        #: "parallel", or "serial-small-input" (workers requested but
-        #: the input was below ``min_parallel_bytes``)
-        self.last_dispatch: str = "serial"
-        #: how the most recent parallel dispatch got its executor:
-        #: "none" (no parallel dispatch yet), "inline", "warm"
-        #: (persistent pool reused), or "cold" (pool built)
-        self.last_pool_state: str = "none"
         #: gate accounting of the most recent prefiltered match
         #: (:class:`~repro.core.prefilter.PrefilterReport`), None until
         #: a prefiltered scan ran
@@ -195,22 +181,6 @@ class BitGenEngine(Engine):
     def backend(self) -> str:
         return self.config.backend
 
-    # -- pickling (pool workers) -------------------------------------------
-
-    def __getstate__(self):
-        """Engines cross process boundaries for sharded dispatch; the
-        memoised compiled kernels hold exec'd functions and are
-        rebuilt worker-side through the shared on-disk cache."""
-        state = dict(self.__dict__)
-        state["_compiled_group_cache"] = None
-        state["_reversed_engine"] = None
-        state["_prefilter_cache"] = None
-        state["last_scan_faults"] = []
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     # -- compilation -------------------------------------------------------
 
     @classmethod
@@ -220,7 +190,7 @@ class BitGenEngine(Engine):
         """Compile ``patterns`` (strings or ASTs).
 
         Pass a :class:`~repro.parallel.ScanConfig` to configure the
-        scheme ladder, geometry, backend, and parallel dispatch in one
+        scheme ladder, geometry, backend, and prefilter in one
         object (the pre-ScanConfig scattered keyword arguments were
         removed after their one-release deprecation window; passing
         one raises :class:`TypeError` with a migration hint).
@@ -362,8 +332,8 @@ class BitGenEngine(Engine):
     def prefilter_index(self):
         """The lazily built literal-gate index
         (:class:`~repro.core.prefilter.PrefilterIndex`), or ``None``
-        for engines without pattern ASTs (worker sub-engines), which
-        always execute ungated."""
+        for engines built without pattern ASTs, which always execute
+        ungated."""
         if self._prefilter_cache is None:
             if self._nodes is None:
                 return None
@@ -408,9 +378,9 @@ class BitGenEngine(Engine):
                     ) -> BitGenResult:
         """The one unit of execution: one input's ``(8, W)`` basis
         words (padded to ``input_bytes + 1`` bits) and the groups to
-        run go in, per-group match ends and metrics come out.  Serial
-        scans and every shard of a sharded scan run through here; the
-        backend decides only how one group runs (:meth:`_run_groups`).
+        run go in, per-group match ends and metrics come out.  Every
+        scan runs through here, in the calling thread; the backend
+        decides only how one group runs (:meth:`_run_groups`).
         Bit-identical to :meth:`match` because the basis fully
         determines every group's inputs.
 
@@ -493,8 +463,8 @@ class BitGenEngine(Engine):
     def build_kernels(self) -> None:
         """Build every group's compiled kernel and class-table kernel
         now (nothing to build on the simulate backend), so no later
-        scan generates code.  With a disk cache attached, process
-        workers then load the artefacts instead of recompiling."""
+        scan generates code.  With a disk cache attached, the
+        artefacts are written there too."""
         if self.backend == "compiled":
             for table in {p.table for p in self._compiled_programs()}:
                 table.kernel  # looked up (or generated) on first access
@@ -522,75 +492,26 @@ class BitGenEngine(Engine):
         is an independent simulated CTA.  Results are returned per
         stream, each exactly what :meth:`match` of that stream returns
         (gated on its own bytes when the prefilter is on).
-
-        When the effective config requests ``workers > 1`` and the
-        combined input clears ``min_parallel_bytes``, streams are
-        sharded across a worker pool (:mod:`repro.parallel`); results
-        are bit-identical to the serial path.  Below the threshold the
-        scan silently runs serial (``last_dispatch`` records why).
         """
         effective = config if config is not None else self.config
         total_bytes = sum(len(stream) for stream in streams)
         with obs.span("scan.match_many", category="scan",
                       streams=len(streams), input_bytes=total_bytes):
-            if effective.parallel_enabled():
-                if effective.parallel_for_bytes(total_bytes):
-                    from ..parallel.scan import parallel_match_many
-
-                    results = parallel_match_many(self, streams,
-                                                  effective)
-                    # Set after the call: worker fallbacks re-enter
-                    # match_many on this engine with a serial config
-                    # and would otherwise clobber the top-level
-                    # decision.
-                    self.last_dispatch = "parallel"
-                    _SCAN_DISPATCH.inc(dispatch="parallel")
-                    return results
-                self.last_dispatch = "serial-small-input"
-            else:
-                self.last_dispatch = "serial"
-            self.last_scan_faults = []
-            _SCAN_DISPATCH.inc(dispatch=self.last_dispatch)
             return [self.match(stream, config=effective)
                     for stream in streams]
 
     def scan(self, data: bytes,
              config: Optional[ScanConfig] = None) -> ScanReport:
-        """One input through the unified report API.  With
-        ``workers > 1`` the engine's (prefilter-active) CTA groups are
-        sharded across a worker pool; the merged report is
-        bit-identical to a serial :meth:`match`.  Inputs below
-        ``min_parallel_bytes`` skip the pool: the report's ``dispatch``
-        field records ``"serial-small-input"``."""
-        effective = config if config is not None else self.config
+        """One input through the unified report API: :meth:`match`
+        as a :class:`ScanReport`, whose ``trace`` holds the scan's
+        spans when a tracer is recording."""
         with obs.span("scan", category="scan",
                       input_bytes=len(data)) as sp:
-            if effective.parallel_enabled():
-                if effective.parallel_for_bytes(len(data)):
-                    from ..parallel.scan import parallel_match
-
-                    result = parallel_match(self, data, effective)
-                    self.last_dispatch = "parallel"
-                    report = ScanReport.from_result(
-                        result, faults=list(self.last_scan_faults),
-                        dispatch="parallel")
-                else:
-                    self.last_dispatch = "serial-small-input"
-                    self.last_scan_faults = []
-                    report = ScanReport.from_result(
-                        self.match(data, config=effective),
-                        dispatch="serial-small-input")
-            else:
-                self.last_dispatch = "serial"
-                self.last_scan_faults = []
-                report = self.match(data, config=effective).report()
-            if sp.is_recording:
-                sp.set(dispatch=self.last_dispatch)
-        _SCAN_DISPATCH.inc(dispatch=self.last_dispatch)
+            report = self.match(data, config=config).report()
         tracer = obs.current_tracer()
         if sp.is_recording and tracer is not None:
             # The report's trace view: the scan span plus everything
-            # recorded (or adopted from workers) beneath it.
+            # recorded beneath it.
             report.trace = tracer.subtree(sp.span_id)
         return report
 

@@ -8,7 +8,7 @@ new chunk and reports only the *new* match end positions, in global
 stream coordinates.
 
 Results come back as :class:`~repro.parallel.report.ScanReport` — the
-unified result type shared with one-shot and parallel scans — carrying
+unified result type shared with one-shot scans — carrying
 the pattern → positions mapping (the old ``Dict[int, List[int]]``
 surface, preserved through the report's Mapping interface), the stream
 offset the report was produced at, and the merged kernel metrics of

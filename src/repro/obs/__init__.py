@@ -6,10 +6,10 @@ dispatch → scan:
 * a span-based tracer (:mod:`repro.obs.trace`) with wall/CPU timing,
   thread-aware nesting, and cross-process context propagation
   (:mod:`repro.obs.propagate`), so per-shard spans from pool workers
-  stitch under the parent scan span;
+  (harness grid cells) stitch under the dispatching span;
 * a metrics registry (:mod:`repro.obs.metrics`) — counters, gauges,
   histograms — that is the single sink for kernel-cache hit/miss,
-  optimizer pass deltas, dispatch decisions, and fault recoveries;
+  optimizer pass deltas, and fault recoveries;
 * exporters (:mod:`repro.obs.export`) — JSON lines, Chrome
   ``trace_event`` (Perfetto-loadable), Prometheus text exposition —
   wired to ``python -m repro trace`` and the ``REPRO_TRACE=<path>``

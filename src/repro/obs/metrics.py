@@ -2,8 +2,8 @@
 
 One process-wide :class:`MetricsRegistry` is the single sink for every
 quantity the repo already counts piecemeal — kernel-cache hit/miss
-(in-memory and on-disk), optimizer pass deltas, shard dispatch
-decisions, fault-injection recoveries, scan throughput.  Unlike
+(in-memory and on-disk), optimizer pass deltas, worker-pool
+faults, fault-injection recoveries, scan throughput.  Unlike
 tracing, metrics are *always on*: instruments are updated at coarse
 aggregation points (once per compile, once per scan, once per cache
 lookup), never inside per-word loops, so the cost is a handful of

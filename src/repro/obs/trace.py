@@ -6,7 +6,7 @@ optimize → codegen → dispatch → scan.  Nesting is tracked per thread
 (a thread-local span stack), so thread-pool shards parent correctly,
 and a picklable :class:`TraceContext` carries ``(trace_id, span_id)``
 across process boundaries so pool workers can stitch their spans under
-the parent scan span (:mod:`repro.obs.propagate`).
+the dispatching span (:mod:`repro.obs.propagate`).
 
 Design constraints, in priority order:
 
@@ -17,9 +17,11 @@ Design constraints, in priority order:
    protocol.  ``benchmarks/bench_obs_overhead.py`` measures the cost
    and CI fails if it exceeds 2% of the quick benchmark's wall time.
 2. **Unique span ids across processes.**  Ids are
-   ``"<pid:x>-<seq:x>"``; the sequence is a per-tracer atomic counter
-   and the pid is read live, so forked workers inheriting a tracer's
-   counter state still mint distinct ids.
+   ``"<pid:x>-<seq:x>"``; the sequence is one atomic counter per
+   process, shared by every tracer in it (a persistent pool worker
+   builds a fresh tracer per shard), and the pid is read live, so
+   forked workers inheriting the counter's state still mint distinct
+   ids.
 3. **Mergeable records.**  Finished spans are stored as plain dicts
    (``to_dict`` schema below), the same form workers marshal back, so
    adoption, export, and subtree queries all operate on one shape.
@@ -41,6 +43,9 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
+
+#: the span-id sequence of this process (see design constraint 2)
+_SEQ = itertools.count()
 
 
 class NullSpan:
@@ -150,7 +155,6 @@ class Tracer:
         self._children: Dict[Optional[str], List[int]] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._seq = itertools.count()
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -167,7 +171,7 @@ class Tracer:
         if parent is None:
             stack = self._stack()
             parent = stack[-1].span_id if stack else self.root_parent
-        span_id = f"{os.getpid():x}-{next(self._seq):x}"
+        span_id = f"{os.getpid():x}-{next(_SEQ):x}"
         return Span(self, name, category, span_id, parent, attrs)
 
     def _push(self, span: Span) -> None:

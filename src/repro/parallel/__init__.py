@@ -1,14 +1,16 @@
-"""repro.parallel — host-side sharded scan dispatch.
+"""repro.parallel — the scan configuration, the scan report, and the
+worker pool.
 
-The paper earns its throughput from massive device-side parallelism;
-this package supplies the missing host half: a sharded dispatcher that
-fans streams, CTA groups, streaming sessions, and harness grids across
-a worker pool while staying bit-identical to serial execution, plus the
-unified :class:`ScanConfig` / :class:`ScanReport` API every public
-entry point now accepts and returns.
+Every public entry point accepts one :class:`ScanConfig` and returns
+:class:`ScanReport` results.  Scans always run in the calling thread;
+the :class:`WorkerPool` (with its fault handling and the shared
+on-disk kernel cache) fans the cells of a
+:meth:`~repro.perf.harness.Harness.run_all` grid across processes or
+threads, the one parallel path measured faster than serial (DESIGN.md,
+*Parallelism*).
 
 Light by design: importing the package only loads the config and
-report types; the pool, dispatcher, and disk cache load on first use.
+report types; the pool and disk cache load on first use.
 """
 
 from .config import (BACKENDS, EXECUTORS, ON_FAULT_POLICIES,
@@ -21,7 +23,6 @@ __all__ = [
     "DiskKernelCache",
     "EXECUTORS",
     "ON_FAULT_POLICIES",
-    "ParallelScanner",
     "START_METHODS",
     "START_METHOD_ENV",
     "ScanConfig",
@@ -31,12 +32,6 @@ __all__ = [
     "breaker",
     "default_cache_dir",
     "default_start_method",
-    "parallel_match",
-    "parallel_match_many",
-    "parallel_run_all",
-    "parallel_sessions",
-    "plan_group_shards",
-    "plan_stream_shards",
     "pool_stats",
     "reject_legacy_kwargs",
     "shutdown",
@@ -49,13 +44,6 @@ _LAZY = {
     "breaker": ("pool", "breaker"),
     "pool_stats": ("pool", "pool_stats"),
     "shutdown": ("pool", "shutdown"),
-    "ParallelScanner": ("scan", "ParallelScanner"),
-    "parallel_match": ("scan", "parallel_match"),
-    "parallel_match_many": ("scan", "parallel_match_many"),
-    "parallel_run_all": ("scan", "parallel_run_all"),
-    "parallel_sessions": ("scan", "parallel_sessions"),
-    "plan_group_shards": ("scan", "plan_group_shards"),
-    "plan_stream_shards": ("scan", "plan_stream_shards"),
 }
 
 

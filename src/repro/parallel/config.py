@@ -5,9 +5,12 @@ Every public entry point — :func:`repro.compile`, :func:`repro.scan`,
 :class:`repro.core.streaming.StreamingMatcher`,
 :class:`repro.perf.harness.Harness`, and the ``python -m repro scan``
 CLI — accepts one :class:`ScanConfig` carrying the compile-time knobs
-(scheme ladder, merge/interval sizes, CTA geometry, backend) and the
-dispatch-time knobs (worker count, executor kind, kernel cache
-directory).  The scattered positional kwargs those entry points
+(scheme ladder, merge/interval sizes, CTA geometry, backend), the
+scan-time knobs (prefilter, streaming tail), and the worker-pool knobs
+that configure :meth:`Harness.run_all <repro.perf.harness.Harness.run_all>`
+grids (worker count, executor kind, fault policy, kernel cache
+directory).  Scans ignore the pool knobs: every scan runs in the
+calling thread.  The scattered positional kwargs those entry points
 grew over PRs 0–2 were deprecated for one release and are now
 rejected with a migration hint (:func:`reject_legacy_kwargs`).
 
@@ -54,7 +57,8 @@ def default_start_method() -> str:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """One object describing how to compile and how to dispatch a scan."""
+    """One object describing how to compile and run a scan, and how a
+    harness grid uses its worker pool."""
 
     # -- compilation (Section 7 parameter setup) --------------------------
     scheme: Scheme = Scheme.ZBS
@@ -92,7 +96,10 @@ class ScanConfig:
     # -- streaming ---------------------------------------------------------
     max_tail_bytes: int = 4096
 
-    # -- parallel dispatch -------------------------------------------------
+    # -- harness grid worker pool (repro.parallel.pool) -------------------
+    # These fields configure Harness.run_all's worker pool; scans
+    # ignore them and always run in the calling thread.
+    #: grid cells run at once (1 = the grid runs serially)
     workers: int = 1
     executor: str = "process"
     #: process-pool start method; ``None`` resolves through
@@ -101,36 +108,28 @@ class ScanConfig:
     #: by the resolved value, so two configs differing only here get
     #: separate pools.
     start_method: Optional[str] = None
+    #: seconds a grid cell may run in a worker before it is re-run in
+    #: the parent as a ``timeout`` fault
     worker_timeout: Optional[float] = None
     cache_dir: Optional[str] = None
 
-    # -- resilience (repro.resilience) -------------------------------------
-    #: what a worker fault does to the scan: ``"degrade"`` reruns the
-    #: shard inline through the serial path (the always-safe default),
+    # -- grid fault handling (repro.resilience) ----------------------------
+    #: what a worker fault does to the grid: ``"degrade"`` reruns the
+    #: cell inline in the parent (the always-safe default),
     #: ``"retry"`` retries on a fresh pool with backoff before
-    #: degrading, ``"fail"`` aborts the scan with
+    #: degrading, ``"fail"`` aborts the grid with
     #: :class:`~repro.resilience.ScanAbortedError`.
     on_fault: str = "degrade"
-    #: bounded retries per faulted shard (``on_fault="retry"`` only)
+    #: bounded retries per faulted cell (``on_fault="retry"`` only)
     max_retries: int = 2
     #: base backoff before the first retry; attempt ``n`` waits
     #: ``retry_backoff * 2**(n-1)`` plus jitter
     retry_backoff: float = 0.05
-    #: scan-level deadline in seconds: one budget shared by every
-    #: blocking wait of a dispatch, so a hung worker can never stall
-    #: the scan past it (expired shards degrade inline and are
-    #: reported as ``ShardFault(kind="deadline")``).  ``None`` = no
-    #: deadline.
+    #: grid deadline in seconds: one budget shared by every blocking
+    #: wait of a pool dispatch, so a hung worker can never stall the
+    #: grid past it (expired cells degrade inline and are reported as
+    #: ``ShardFault(kind="deadline")``).  ``None`` = no deadline.
     deadline_s: Optional[float] = None
-    #: inputs smaller than this fall back to serial dispatch even when
-    #: ``workers > 1`` — worker marshalling dwarfs the scan below it
-    #: (``BENCH_parallel.json`` measured 2.4-2.7x slowdowns at 60KB).
-    #: Set to 0 to force the parallel path regardless of input size.
-    #: The serve gateway reads it too: a warm compiled request whose
-    #: payload is shorter can run on the event-loop thread, since it
-    #: never waits on a worker pool; a longer one runs on the off-loop
-    #: thread pool.
-    min_parallel_bytes: int = 65536
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -148,8 +147,6 @@ class ScanConfig:
             raise ValueError("workers must be >= 1")
         if self.opt_level not in (0, 1, 2):
             raise ValueError("opt_level must be 0, 1, or 2")
-        if self.min_parallel_bytes < 0:
-            raise ValueError("min_parallel_bytes must be >= 0")
         if self.merge_size < 1 or self.interval_size < 1:
             raise ValueError("merge_size and interval_size must be >= 1")
         if self.max_tail_bytes < 1:
@@ -180,21 +177,15 @@ class ScanConfig:
         return dataclasses.replace(self, **changes)
 
     def serial(self) -> "ScanConfig":
-        """The same configuration with parallel dispatch disabled —
-        what a worker runs inside its shard."""
+        """The same configuration with the worker pool disabled — what
+        a grid worker runs its cell with."""
         if self.workers == 1:
             return self
         return self.replace(workers=1)
 
     def parallel_enabled(self) -> bool:
+        """Whether a harness grid fans its cells across the pool."""
         return self.workers > 1
-
-    def parallel_for_bytes(self, input_bytes: int) -> bool:
-        """Whether an input of ``input_bytes`` should take the parallel
-        path: workers requested AND the input is large enough that
-        sharding overhead can pay for itself."""
-        return (self.workers > 1
-                and input_bytes >= self.min_parallel_bytes)
 
     def resolved_start_method(self) -> str:
         """The process-pool start method actually used: the explicit
@@ -216,7 +207,8 @@ class ScanConfig:
 
     def compile_key(self) -> Tuple:
         """The fields that change what ``BitGenEngine.compile`` builds
-        (dispatch knobs excluded) — a cache key for compiled engines."""
+        (scan-time and pool knobs excluded) — a cache key for compiled
+        engines."""
         return (self.scheme, self.geometry, self.cta_count,
                 self.merge_size, self.interval_size, self.loop_fallback,
                 self.opt_level, self.grouping, self.backend)

@@ -1,9 +1,10 @@
 """Worker pools with graceful degradation — persistent and warm.
 
-:class:`WorkerPool` is the dispatch layer's only executor abstraction:
-a process pool or a thread pool, with inline execution in the parent
-as the universal fallback.  The contract the sharded scanner relies
-on:
+:class:`WorkerPool` is the only executor abstraction: a process pool
+or a thread pool, with inline execution in the parent as the universal
+fallback.  It runs the cells of a
+:meth:`~repro.perf.harness.Harness.run_all` grid (scans themselves
+always run in the calling thread).  The contract the grid relies on:
 
 * results come back **in submission order** — merging stays trivial;
 * a worker crash, a timeout, or a broken/unstartable pool never loses
@@ -15,8 +16,8 @@ on:
 
 Executors are no longer built per dispatch.  A module-level registry
 keeps one **persistent pool** per ``(executor, workers, start_method)``
-key, reused across scans: ``BENCH_parallel.json`` showed a fresh
-``ProcessPoolExecutor`` per scan costing more than the scan itself.
+key, reused across dispatches: a fresh ``ProcessPoolExecutor`` per
+dispatch costs a worker start-up every time.
 Process pools are created with an initializer that pre-attaches the
 shared on-disk kernel cache, so even a cold pool's workers start with
 the parent's compiled artefacts (and, under ``fork``, its entire
@@ -24,7 +25,7 @@ in-memory kernel cache).  The registry is fork-aware — a pool created
 before ``os.fork()`` is silently abandoned in the child, never joined —
 and torn down via ``atexit`` or an explicit
 :func:`repro.parallel.shutdown`.  A pool poisoned by a timeout or a
-crash is discarded (the next scan pays one cold start) rather than
+crash is discarded (the next dispatch pays one cold start) rather than
 reused; warm/cold acquisitions and discards are counted in
 :mod:`repro.obs`.
 """
@@ -55,7 +56,7 @@ _SHARD_FAULTS = _REG.counter(
     "Worker faults the pool degraded around, by kind")
 _POOL_REUSE = _REG.counter(
     "repro_parallel_pool_reuse_total",
-    "Executor acquisitions by the sharded dispatcher: state=warm "
+    "Executor acquisitions by the worker pool: state=warm "
     "reused a persistent pool, state=cold built one")
 _POOL_DISCARDS = _REG.counter(
     "repro_parallel_pool_discards_total",
@@ -69,7 +70,7 @@ _RETRY_ATTEMPTS = _REG.counter(
     "Per-shard retry attempts under on_fault='retry', by outcome")
 _DEADLINE_EXCEEDED = _REG.counter(
     "repro_deadline_exceeded_total",
-    "Shard waits cut short because the scan deadline expired")
+    "Shard waits cut short because the dispatch deadline expired")
 _BREAKER_INLINE = _REG.counter(
     "repro_breaker_inline_total",
     "Dispatches forced inline because the pool circuit was open")
@@ -156,7 +157,7 @@ def _acquire_persistent(key: PoolKey, build: Callable
 def _discard(executor, reason: str) -> None:
     """Drop ``executor`` from the registry and stop it without
     waiting — a pool that timed out or broke must not poison the next
-    scan, and a hung worker must not block this one."""
+    dispatch, and a hung worker must not block this one."""
     with _POOLS_LOCK:
         for key, entry in list(_POOLS.items()):
             if entry.executor is executor:
@@ -189,16 +190,16 @@ def shutdown(wait: bool = True) -> None:
 
 
 #: registry key kind for the serve gateway's loop-offload thread pool.
-#: Its own key — never shared with thread-executor shard dispatch — so
-#: a saturated offload pool (every thread inside a scan that is itself
-#: dispatching shards) can never deadlock waiting on its own threads.
+#: Its own key — never shared with a grid's thread executor — so a
+#: saturated offload pool can never deadlock waiting on its own
+#: threads.
 OFFLOAD_KIND = "serve-offload"
 
 
 def offload_pool(workers: int) -> futures.ThreadPoolExecutor:
     """The persistent gateway-offload thread pool (get-or-create).
 
-    Lives in the same registry as the shard-dispatch pools — fork-aware,
+    Lives in the same registry as the grid pools — fork-aware,
     covered by :func:`shutdown` and atexit — but under its own key, and
     without touching the warm/cold dispatch counters the parallel
     speedup guard asserts on."""
@@ -413,7 +414,7 @@ class WorkerPool:
             if persistent:
                 # A clean persistent pool outlives the dispatch (the
                 # whole point); one that hung or broke is discarded so
-                # the next scan starts from a clean cold pool.
+                # the next dispatch starts from a clean cold pool.
                 if hung:
                     _discard(executor, "timeout")
                 elif broken:

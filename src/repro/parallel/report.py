@@ -1,10 +1,11 @@
 """The unified scan result.
 
-Every scan path — one-shot :meth:`BitGenEngine.match`, streaming
-:meth:`StreamingMatcher.feed`, and the sharded parallel dispatcher —
-reports through one :class:`ScanReport`: pattern → match end positions,
-the stream offset the report was produced at, the merged kernel
-metrics, and any shard faults the dispatcher degraded around.
+Every scan path — one-shot :meth:`BitGenEngine.match` and streaming
+:meth:`StreamingMatcher.feed` — reports through one
+:class:`ScanReport`: pattern → match end positions, the stream offset
+the report was produced at, and the merged kernel metrics.
+:class:`ShardFault` records one worker failure the
+:class:`~repro.parallel.pool.WorkerPool` handled.
 
 ``ScanReport`` is a :class:`~collections.abc.Mapping` over
 ``pattern index → positions``, so code written against the old bare
@@ -47,9 +48,9 @@ def format_fault_traceback(exc: BaseException,
 
 @dataclass(frozen=True)
 class ShardFault:
-    """One worker failure the dispatcher handled."""
+    """One worker failure the pool handled."""
 
-    shard: int              # shard index within the dispatch
+    shard: int              # payload index within the dispatch
     kind: str               # "error" | "timeout" | "pool" | "deadline"
     error: str              # stringified cause
     #: how the shard's work was recovered: ``"serial"`` (inline
@@ -68,8 +69,7 @@ class ShardFault:
                 "traceback": self.traceback, "retries": self.retries}
 
     def summary(self) -> str:
-        """One log-friendly line (the ``python -m repro scan`` fault
-        listing)."""
+        """One log-friendly line."""
         return (f"shard={self.shard} kind={self.kind} "
                 f"retries={self.retries} fallback={self.fallback} "
                 f"error={self.error}")
@@ -88,16 +88,13 @@ class ScanReport(Mapping):
     """Matches plus provenance for one scan (or one streaming step)."""
 
     __slots__ = ("pattern_count", "found", "stream_offset",
-                 "input_bytes", "metrics", "cta_metrics", "faults",
-                 "dispatch", "trace")
+                 "input_bytes", "metrics", "cta_metrics", "trace")
 
     def __init__(self, pattern_count: int,
                  matches: Optional[Dict[int, List[int]]] = None,
                  stream_offset: int = 0, input_bytes: int = 0,
                  metrics: Optional[KernelMetrics] = None,
                  cta_metrics: Optional[List[KernelMetrics]] = None,
-                 faults: Optional[List[ShardFault]] = None,
-                 dispatch: str = "serial",
                  trace: Optional[List[Dict[str, object]]] = None):
         self.pattern_count = pattern_count
         #: pattern → end positions of the patterns that matched (never
@@ -112,22 +109,15 @@ class ScanReport(Mapping):
         self.input_bytes = input_bytes
         self.metrics = metrics if metrics is not None else KernelMetrics()
         self.cta_metrics = list(cta_metrics) if cta_metrics else []
-        self.faults = list(faults) if faults else []
-        #: how the scan was dispatched: "serial", "parallel", or
-        #: "serial-small-input" (workers requested but the input was
-        #: below ``ScanConfig.min_parallel_bytes``)
-        self.dispatch = dispatch
         #: span dicts of the scan that produced this report (the scan
-        #: span and everything beneath it, worker shards included);
+        #: span and everything beneath it);
         #: ``None`` unless a :mod:`repro.obs` tracer was recording
         self.trace = trace
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_result(cls, result, stream_offset: int = 0,
-                    faults: Optional[List[ShardFault]] = None,
-                    dispatch: str = "serial") -> "ScanReport":
+    def from_result(cls, result, stream_offset: int = 0) -> "ScanReport":
         """Wrap a :class:`~repro.engines.base.MatchResult` (plain or
         :class:`~repro.core.engine.BitGenResult`).  A BitGenResult
         hands over its sparse ``found``, so wrapping costs O(matches)
@@ -139,8 +129,7 @@ class ScanReport(Mapping):
                    stream_offset=stream_offset,
                    input_bytes=getattr(result, "input_bytes", 0),
                    metrics=getattr(result, "metrics", None),
-                   cta_metrics=getattr(result, "cta_metrics", None),
-                   faults=faults, dispatch=dispatch)
+                   cta_metrics=getattr(result, "cta_metrics", None))
 
     # -- mapping interface (pattern -> end positions) ----------------------
 
@@ -179,8 +168,7 @@ class ScanReport(Mapping):
     def __repr__(self) -> str:
         return (f"ScanReport(patterns={self.pattern_count}, "
                 f"matches={self.match_count()}, "
-                f"offset={self.stream_offset}, "
-                f"faults={len(self.faults)})")
+                f"offset={self.stream_offset})")
 
     # -- aggregate views ---------------------------------------------------
 
@@ -191,7 +179,7 @@ class ScanReport(Mapping):
         return sorted(self.found)
 
     def merge(self, other: "ScanReport") -> "ScanReport":
-        """Fold another report into this one (streaming / sharding):
+        """Fold another report into this one (streaming):
         matches extend, metrics accumulate, the offset advances.  Only
         this report's own lists grow; ``other`` is read, never
         changed."""
@@ -206,7 +194,6 @@ class ScanReport(Mapping):
         self.input_bytes += other.input_bytes
         self.metrics.merge(other.metrics)
         self.cta_metrics.extend(other.cta_metrics)
-        self.faults.extend(other.faults)
         if other.trace:
             self.trace = (self.trace or []) + other.trace
         return self
@@ -223,9 +210,7 @@ class ScanReport(Mapping):
             "matches": {str(k): v for k, v in self.matches.items()},
             "stream_offset": self.stream_offset,
             "input_bytes": self.input_bytes,
-            "dispatch": self.dispatch,
             "metrics": asdict(self.metrics),
-            "faults": [fault.to_dict() for fault in self.faults],
         }
         if self.trace is not None:
             payload["trace"] = self.trace

@@ -1,35 +1,22 @@
-"""Worker-side shard execution.
+"""Worker-side harness grid cells.
 
 Every function here is a plain module-level callable (picklable by
-reference for process pools) taking one payload tuple and returning one
-shard result.  Workers always run their shard **serially** and never
-gate — the parent already ran the prefilter — and attach the shared
-on-disk kernel cache before compiling anything, so a kernel the parent
-(or a sibling) already built is loaded from its marshalled artefact
-instead of being re-generated.  Persistent pools attach the cache once
-at spawn via :func:`init_worker` (the executor initializer), so even a
-worker's first shard starts warm.  A faulted shard is re-run in the
-parent through the same function.
-
-Stream, group and session payloads share one shape: the engine, the
-shard's input bytes (with each stream's active groups, the group
-indices, or the session config) and the disk-cache directory.  The
-engine's programs/plans pickle cheaply (compiled kernels are dropped
-by :meth:`BitGenEngine.__getstate__` and rebuilt through the disk
-cache — or inherited outright under the ``fork`` start method), and
-the worker transposes each input itself
-(:func:`~repro.backend.basis_environment`) before
-:meth:`~repro.core.engine.BitGenEngine.match_words`, exactly as a
-serial scan does.
+reference for process pools).  :func:`run_cell` runs one
+``(app, engine)`` cell of a :meth:`~repro.perf.harness.Harness.run_all`
+grid from a plain build spec, and attaches the shared on-disk kernel
+cache before compiling anything, so a kernel the parent (or a sibling)
+already built is loaded from its marshalled artefact instead of being
+re-generated.  Persistent pools attach the cache once at spawn via
+:func:`init_worker` (the executor initializer), so even a worker's
+first cell starts warm.  A faulted cell is re-run in the parent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import obs
 from ..resilience import chaos
-from .report import ScanReport
 
 _CELLS_RUN = obs.registry().counter(
     "repro_worker_cells_total",
@@ -51,7 +38,7 @@ def attach_disk_cache(cache_dir: Optional[str]) -> None:
 
 def init_worker(cache_dir: Optional[str] = None) -> None:
     """Persistent-pool initializer: pre-seed the worker at spawn so
-    its first shard is as warm as its hundredth.  Failures are
+    its first cell is as warm as its hundredth.  Failures are
     swallowed — the cache is an accelerator, and an initializer that
     raises would poison the whole pool."""
     try:
@@ -60,50 +47,7 @@ def init_worker(cache_dir: Optional[str] = None) -> None:
         pass
 
 
-# -- shard tasks -------------------------------------------------------------
-
-
-def scan_streams(payload) -> List:
-    """One stream shard: each of its ``(data, active)`` inputs through
-    ``engine.match_words`` on the groups the parent's gate left
-    active (``None``: every group)."""
-    from ..backend import basis_environment
-
-    engine, inputs, cache_dir = payload
-    chaos.maybe_inject("worker.stream")
-    attach_disk_cache(cache_dir)
-    return [engine.match_words(basis_environment(data), len(data),
-                               active=active)
-            for data, active in inputs]
-
-
-def scan_groups(payload) -> Tuple:
-    """One group shard: a sub-engine over some of the engine's
-    (prefilter-active) groups, run over the whole input.  Returns
-    ``(group_indices, result)``."""
-    from ..backend import basis_environment
-    from ..core.engine import BitGenEngine
-
-    engine, group_indices, data, cache_dir = payload
-    chaos.maybe_inject("worker.group")
-    attach_disk_cache(cache_dir)
-    sub = BitGenEngine([engine.groups[i] for i in group_indices],
-                       engine.pattern_count,
-                       config=engine.config.serial())
-    return group_indices, sub.match_words(basis_environment(data),
-                                          len(data))
-
-
-def run_session(payload) -> ScanReport:
-    """One streaming session: all chunks of one logical stream fed
-    through a fresh :class:`StreamingMatcher`, in order."""
-    from ..core.streaming import StreamingMatcher
-
-    engine, chunks, config, cache_dir = payload
-    chaos.maybe_inject("worker.session")
-    attach_disk_cache(cache_dir)
-    matcher = StreamingMatcher(engine, config=config.serial())
-    return matcher.feed_all(chunks)
+# -- grid cells ------------------------------------------------------------
 
 
 #: Per-process memo of harness instances, keyed by their build spec —

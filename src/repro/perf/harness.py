@@ -239,20 +239,19 @@ class Harness:
         """Run the (app, engine) grid.
 
         With ``workers > 1`` in ``config`` (or the harness config),
-        cells are fanned across a worker pool; results keep the serial
-        grid order and a faulted cell falls back to running in this
-        process (recorded in :attr:`last_scan_faults`).
+        cells are fanned across a worker pool (:func:`run_cells`);
+        results keep the serial grid order and a faulted cell falls
+        back to running in this process (recorded in
+        :attr:`last_scan_faults`).
         """
         apps = list(apps) if apps is not None \
             else [a.name for a in ALL_APPS]
         effective = config if config is not None else self.config
+        cells = [(app, engine) for app in apps for engine in engines]
         if effective.parallel_enabled():
-            from ..parallel.scan import parallel_run_all
-
-            return parallel_run_all(self, apps, engines, effective)
+            return run_cells(self, cells, effective)
         self.last_scan_faults = []
-        return [self.run(app, engine) for app in apps
-                for engine in engines]
+        return [self.run(app, engine) for app, engine in cells]
 
     # -- cross-checking -------------------------------------------------------------
 
@@ -268,3 +267,34 @@ class Harness:
         hyperscan = HyperscanEngine.compile(
             workload.patterns).match(workload.data)
         return reference.same_matches(hyperscan)
+
+
+def run_cells(harness: Harness, cells: Sequence[Tuple[str, str]],
+              config: ScanConfig) -> List[EngineRun]:
+    """Fan ``(app, engine)`` cells across a
+    :class:`~repro.parallel.pool.WorkerPool`, one cell per task.  Each
+    worker rebuilds the harness from its spec (memoised per process),
+    results come back in cell order, and a faulted cell is re-run in
+    ``harness``."""
+    from .. import obs
+    from ..parallel import worker as worker_mod
+    from ..parallel.pool import WorkerPool
+
+    cache_dir = None
+    if config.executor == "process":
+        from ..parallel.diskcache import default_cache_dir
+
+        cache_dir = config.cache_dir or default_cache_dir()
+        worker_mod.attach_disk_cache(cache_dir)
+    spec = (harness.config.serial(), harness.scale,
+            harness.input_bytes, harness.seed)
+    payloads = [(spec, app, engine, cache_dir) for app, engine in cells]
+    pool = WorkerPool(config, cache_dir=cache_dir)
+    with obs.span("grid", category="scan", cells=len(cells),
+                  workers=config.workers, executor=config.executor):
+        results, faults = pool.map_shards(
+            worker_mod.run_cell, payloads,
+            serial_fn=lambda payload: harness.run(payload[1],
+                                                  payload[2]))
+    harness.last_scan_faults = faults
+    return results

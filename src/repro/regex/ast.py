@@ -27,8 +27,7 @@ class Regex:
     def __reduce__(self):
         # Reconstruct through __init__ (every node's slots mirror its
         # constructor arguments): the immutability guard blocks pickle's
-        # default setattr-based state restore, and engines carrying ASTs
-        # cross process boundaries under repro.parallel.
+        # default setattr-based state restore.
         return (type(self),
                 tuple(getattr(self, name) for name in self.__slots__))
 

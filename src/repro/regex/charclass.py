@@ -44,8 +44,7 @@ class CharClass:
 
     def __reduce__(self):
         # Reconstruct through __init__: the immutability guard blocks
-        # pickle's default setattr-based state restore (programs cross
-        # process boundaries under repro.parallel's sharded dispatch).
+        # pickle's default setattr-based state restore.
         return (CharClass, (self.ranges,))
 
     # -- constructors ------------------------------------------------------

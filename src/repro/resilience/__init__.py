@@ -1,15 +1,16 @@
-"""repro.resilience — policy-driven fault handling for the scan pipeline.
+"""repro.resilience — policy-driven fault handling for the worker pool.
 
-The sharded dispatcher has always *survived* worker faults (every
-shard degrades to an inline serial rerun); this package makes the
-degraded paths **policied, bounded, and measurable**:
+The :class:`~repro.parallel.pool.WorkerPool` that runs harness grid
+cells has always *survived* worker faults (every faulted cell degrades
+to an inline rerun); this package makes the degraded paths
+**policied, bounded, and measurable**:
 
 * :class:`RetryPolicy` / :class:`ScanAbortedError`
-  (:mod:`~repro.resilience.policy`) — what happens on a shard fault:
+  (:mod:`~repro.resilience.policy`) — what happens on a worker fault:
   degrade (default), retry with backoff on a fresh pool, or fail fast;
 * :class:`Deadline` (:mod:`~repro.resilience.deadline`) — one
-  monotonic budget for all of a scan's blocking waits, so a hung shard
-  can never stall a scan past ``ScanConfig.deadline_s``;
+  monotonic budget for all of a dispatch's blocking waits, so a hung
+  worker can never stall a grid past ``ScanConfig.deadline_s``;
 * :class:`CircuitBreaker` (:mod:`~repro.resilience.breaker`) — wraps
   the persistent-pool registry: consecutive pool-level faults open the
   circuit and dispatch goes inline for a cooldown instead of paying a
@@ -19,8 +20,10 @@ degraded paths **policied, bounded, and measurable**:
   and the CI soak job deterministically exercise every fault path
   while asserting results stay bit-identical to serial.
 
-Everything here is dispatch-layer: policies never change *what* a scan
-computes, only how (and whether) it recovers.
+Everything here is dispatch-layer: policies never change *what* a cell
+computes, only how (and whether) it recovers.  The serving gateway
+reuses :class:`Deadline` and :class:`CircuitBreaker` for its
+requests.
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, STATE_CODES, CircuitBreaker

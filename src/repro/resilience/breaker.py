@@ -4,7 +4,7 @@ The persistent-pool registry (:mod:`repro.parallel.pool`) makes worker
 pools warm; the breaker keeps a *broken* start method from turning
 that warmth into a storm.  Without it, a platform where process pools
 reliably die (a bad ``forkserver`` setup, a container that kills
-children, exhausted PIDs) pays a fresh cold pool start **per scan**,
+children, exhausted PIDs) pays a fresh cold pool start **per dispatch**,
 each one failing, each one falling back shard-by-shard.
 
 State machine (the classic three states):

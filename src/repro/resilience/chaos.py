@@ -10,9 +10,6 @@ task; ``:timeout`` and ``:exit`` hang or kill them instead.
 Instrumented sites (grep ``maybe_inject`` for ground truth):
 
 ========================  ====================================
-``worker.stream``         stream-shard task (``scan_streams``)
-``worker.group``          group-shard task (``scan_groups``)
-``worker.session``        streaming-session task (``run_session``)
 ``worker.cell``           harness grid cell (``run_cell``)
 ``pool.acquire``          executor acquisition in the parent
 ========================  ====================================

@@ -1,10 +1,10 @@
-"""Scan-level deadlines.
+"""Deadlines for pool dispatches and gateway requests.
 
 A :class:`Deadline` is one monotonic budget shared by everything a
-scan dispatch does — the parent's gate, pool acquisition, every
-per-shard wait, every retry backoff.  The dispatcher derives each blocking wait
+pool dispatch does — pool acquisition, every per-shard wait, every
+retry backoff.  The pool derives each blocking wait
 from :meth:`wait_budget`, so the *sum* of waits can never exceed the
-budget: a scan with ``deadline_s`` set stops blocking on workers at
+budget: a dispatch with ``deadline_s`` set stops blocking on workers at
 the deadline and finishes the stragglers inline (reported as
 ``ShardFault(kind="deadline")``), bounding total latency at roughly
 the deadline plus one shard's inline runtime per unfinished shard.
@@ -12,7 +12,8 @@ the deadline plus one shard's inline runtime per unfinished shard.
 Deadlines bound *waiting on workers*, not computation: the inline
 recovery that preserves the bit-identity guarantee still runs to
 completion.  Callers that need a hard wall-clock cut must also shrink
-the work (fewer shards, smaller inputs).
+the work (fewer or smaller cells).  The gateway checks each request's
+deadline when it dequeues the request.
 """
 
 from __future__ import annotations

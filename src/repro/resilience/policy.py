@@ -1,10 +1,12 @@
-"""Fault-handling policy: what a scan does when a shard's worker dies.
+"""Fault-handling policy: what a pool dispatch (a harness grid) does
+when a shard's worker dies.  A shard is one payload of
+:meth:`~repro.parallel.pool.WorkerPool.map_shards`: one grid cell.
 
 Three policies, selected by :attr:`ScanConfig.on_fault`:
 
 * ``"degrade"`` (the default, and the only pre-resilience behaviour) —
   the faulted shard re-runs **inline** through the serial path, so a
-  parallel scan never fails and never changes results;
+  parallel grid never fails and never changes results;
 * ``"retry"`` — the shard is retried up to
   :attr:`ScanConfig.max_retries` times with exponential backoff plus
   jitter, each attempt on a **fresh single-worker pool** (a poisoned
@@ -12,14 +14,14 @@ Three policies, selected by :attr:`ScanConfig.on_fault`:
   faults does the shard degrade to the inline path.  Transient faults
   therefore recover *without* serial fallback, which matters once
   shards are expensive enough that an in-process rerun doubles the
-  scan's critical path;
-* ``"fail"`` — the first fault aborts the whole scan with
+  grid's critical path;
+* ``"fail"`` — the first fault aborts the whole dispatch with
   :class:`ScanAbortedError`.  For callers that would rather surface
-  partial-failure than silently absorb a degraded (slower) scan.
+  partial-failure than silently absorb a degraded (slower) grid.
 
 The policy object itself is dumb on purpose: delays are computed here,
 but *applied* by the dispatcher (:mod:`repro.parallel.pool`), which
-also clamps them against the scan deadline.
+also clamps them against the dispatch deadline.
 """
 
 from __future__ import annotations

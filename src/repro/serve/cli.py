@@ -33,8 +33,9 @@ import sys
 from typing import List
 
 from ..core.schemes import Scheme
-from ..parallel.config import BACKENDS, EXECUTORS, ScanConfig
+from ..parallel.config import BACKENDS, ScanConfig
 from .config import ServeConfig
+from .gateway import INLINE_LIMIT_BYTES
 
 SELF_TEST_PATTERNS = ["a(bc)*d", "cat|dog", "[0-9][0-9]"]
 SELF_TEST_DATA = b"abcbcd cat 42 dog abcd and 7 cats, 99 dogs; abcbcbcd"
@@ -55,7 +56,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                     "(JSONL over TCP; see repro.serve).  A request "
                     "whose engine is resident (or that feeds or "
                     "closes an open session) and whose payload is "
-                    f"under {ScanConfig.min_parallel_bytes // 1024} KiB "
+                    f"under {INLINE_LIMIT_BYTES // 1024} KiB "
                     "runs on the event loop on the compiled backend; "
                     "compiles, larger payloads, simulated engines and "
                     "requests arriving while any of those runs use an "
@@ -73,10 +74,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="default per-request deadline")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="scan worker shards (1 = serial)")
-    parser.add_argument("--executor", choices=EXECUTORS,
-                        default="process")
     parser.add_argument("--backend", choices=BACKENDS,
                         default="compiled",
                         help="execution backend (default: compiled; "
@@ -111,8 +108,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def serve_config_from_args(args) -> ServeConfig:
-    scan = ScanConfig(scheme=Scheme[args.scheme], backend=args.backend,
-                      workers=args.workers, executor=args.executor)
+    scan = ScanConfig(scheme=Scheme[args.scheme], backend=args.backend)
     return ServeConfig(max_engines=args.max_engines,
                        queue_depth=args.queue_depth,
                        max_sessions=args.max_sessions,

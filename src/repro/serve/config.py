@@ -74,10 +74,10 @@ class ServeConfig:
     Where a request runs is not a setting.  A request that cannot
     compile (its engine is resident, or it feeds or closes an open
     session), whose engine runs the compiled backend and whose payload
-    is shorter than the engine's ``ScanConfig.min_parallel_bytes`` runs
-    on the event-loop thread, unless another request is running off
-    it; every other request runs on a fixed-width off-loop thread pool
-    (:mod:`repro.serve.gateway`).
+    is shorter than :data:`~repro.serve.gateway.INLINE_LIMIT_BYTES`
+    runs on the event-loop thread, unless another request is running
+    off it; every other request runs on a fixed-width off-loop thread
+    pool (:mod:`repro.serve.gateway`).
     """
 
     #: engine-registry capacity: compiled engines resident across all
@@ -94,8 +94,8 @@ class ServeConfig:
     #: default per-request deadline (seconds) when the request doesn't
     #: carry one; ``None`` = no deadline
     deadline_s: Optional[float] = None
-    #: consecutive request failures that open the circuit and degrade
-    #: execution to inline serial scans
+    #: consecutive request failures that open the circuit (its state is
+    #: reported in stats and ``/healthz``)
     breaker_threshold: int = 3
     #: seconds the circuit stays open before a half-open probe
     breaker_cooldown_s: float = 5.0
@@ -121,13 +121,10 @@ class ServeConfig:
     #: ring capacity of the non-blocking access-log writer; overflow
     #: drops oldest records, never blocks the gateway loop
     access_log_capacity: int = 4096
-    #: default compile/dispatch configuration for hosted engines: the
+    #: default compile and scan configuration for hosted engines: the
     #: compiled backend, since a gateway needs matches, not the
-    #: simulator's schedule accounting.  Its ``min_parallel_bytes`` also
-    #: places requests: a warm compiled request with a shorter payload
-    #: can run on the event loop, a longer one runs on the off-loop
-    #: thread pool.
-    #: Hosted engines always compile with ``loop_fallback=True``.
+    #: simulator's schedule accounting.  Hosted engines always compile
+    #: with ``loop_fallback=True``.
     scan: ScanConfig = field(
         default_factory=lambda: ScanConfig(backend="compiled"))
 

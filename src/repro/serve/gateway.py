@@ -21,10 +21,9 @@ Request lifecycle::
 compile — ``scan``, ``open`` and ``compile`` whose engine is resident
 (a :meth:`~repro.serve.host.EngineHost.lookup` hit, taken at dequeue),
 ``feed`` and ``close`` on an open session — its engine runs the
-compiled backend, its payload is shorter than the engine's
-``ScanConfig.min_parallel_bytes`` (the size below which a scan never
-dispatches to a worker pool), and no other request is running off the
-loop.  Every other request — a registry miss (it compiles), a
+compiled backend, its payload is shorter than
+:data:`INLINE_LIMIT_BYTES` (64 KiB), and no other request is running
+off the loop.  Every other request — a registry miss (it compiles), a
 simulated engine (its scans take milliseconds to seconds), a large
 payload, or any request that arrives while one of those runs — runs
 on the persistent off-loop thread pool
@@ -35,7 +34,7 @@ sub-millisecond scan.  While anything runs off the loop, though, the
 loop must idle for it to get the GIL: a loop that never idles releases
 and retakes the lock at every ``select()``, and CPython then rarely
 hands it to the waiting thread.  An inline request holds the loop for
-at most one compiled scan below ``min_parallel_bytes``; compiles never
+at most one compiled scan below :data:`INLINE_LIMIT_BYTES`; compiles never
 run on it, and a hosted engine generates no code once resident.  A
 request refused at placement (an unknown session, an open past the
 session cap) is answered on the loop.  The lane awaits each result
@@ -44,12 +43,10 @@ unchanged and results stay bit-identical.
 
 Fault policy reuses :mod:`repro.resilience`: every request carries an
 optional :class:`~repro.resilience.Deadline` (per-request ``deadline_s``
-falling back to ``ServeConfig.deadline_s``), whose remaining budget is
-threaded into the scan's own ``ScanConfig.deadline_s`` so parallel
-dispatch inherits the wait budget.  A gateway-level
-:class:`~repro.resilience.CircuitBreaker` watches request failures;
-while it is open, parallel-configured work degrades to inline serial
-scans — bit-identical results, bounded blast radius.
+falling back to ``ServeConfig.deadline_s``), checked when the request
+is dequeued.  A gateway-level :class:`~repro.resilience.CircuitBreaker`
+counts request failures and reports its state in :meth:`Gateway.stats`
+and ``/healthz``; it does not change where or how any request runs.
 
 Every finished (or shed) request is recorded through
 :class:`~repro.serve.telemetry.ServeTelemetry`: per-tenant
@@ -90,9 +87,6 @@ _REQUEST_SECONDS = _REG.histogram(
 _SESSIONS = _REG.gauge(
     "repro_serve_sessions",
     "Currently open streaming sessions")
-_DEGRADED = _REG.counter(
-    "repro_serve_degraded_total",
-    "Requests executed serially because the serve breaker was open")
 _OFFLOADED = _REG.counter(
     "repro_serve_loop_offload_total",
     "Requests executed on the off-loop thread pool (registry misses, "
@@ -114,6 +108,10 @@ _DEFAULT = object()
 #: placement sends off the loop
 OFFLOAD_WORKERS = 4
 
+#: a warm compiled request whose payload is shorter than this may run
+#: on the event-loop thread; a longer one runs on the off-loop pool
+INLINE_LIMIT_BYTES = 65536
+
 
 class _Lane:
     """One tenant's serialized execution lane."""
@@ -127,7 +125,7 @@ class _Lane:
 
 @dataclass
 class _Request:
-    """One gateway request: ``run(hosted, deadline, info)`` and what
+    """One gateway request: ``run(hosted, info)`` and what
     placement weighs — the pattern set and config an engine op (scan,
     open, compile) runs on, or the session a session op (feed, close)
     runs on, and the payload size.  ``_submit`` adds the admission
@@ -185,7 +183,7 @@ class Gateway:
         """Warm the tenant's engine for ``patterns``; returns its
         registry entry (fingerprint, compile time, use counts)."""
 
-        def run(hosted: HostedEngine, deadline: Optional[Deadline],
+        def run(hosted: HostedEngine,
                 info: Dict[str, object]) -> Dict[str, object]:
             return hosted.stats()
 
@@ -199,12 +197,10 @@ class Gateway:
                    deadline_s=_DEFAULT) -> ScanReport:
         """One-shot scan on the tenant's (cached) compiled engine."""
 
-        def run(hosted: HostedEngine, deadline: Optional[Deadline],
+        def run(hosted: HostedEngine,
                 info: Dict[str, object]) -> ScanReport:
             info["bytes"] = len(data)
-            effective = self._execution_config(
-                hosted.matcher.config, deadline)
-            return hosted.matcher.scan(data, config=effective)
+            return hosted.matcher.scan(data)
 
         return await self._submit(_Request(tenant, "scan", run,
                                            patterns=patterns,
@@ -218,7 +214,7 @@ class Gateway:
         """Open a streaming session; returns its id and engine
         fingerprint."""
 
-        def run(hosted: HostedEngine, deadline: Optional[Deadline],
+        def run(hosted: HostedEngine,
                 info: Dict[str, object]) -> Dict[str, object]:
             session = Session(next_session_id(tenant), tenant, hosted)
             with self._session_lock:
@@ -242,7 +238,7 @@ class Gateway:
         stream coordinates.  Feeds of one session are serialized by
         the tenant's lane, so chunk order is preserved."""
 
-        def run(hosted: HostedEngine, deadline: Optional[Deadline],
+        def run(hosted: HostedEngine,
                 info: Dict[str, object]) -> ScanReport:
             session = self._session_for(tenant, session_id)
             info["session"] = session_id
@@ -257,7 +253,7 @@ class Gateway:
                             session_id: str) -> Dict[str, object]:
         """Close a session; returns its final summary."""
 
-        def run(hosted: HostedEngine, deadline: Optional[Deadline],
+        def run(hosted: HostedEngine,
                 info: Dict[str, object]) -> Dict[str, object]:
             with self._session_lock:
                 entry = self._sessions.get(session_id)
@@ -355,21 +351,6 @@ class Gateway:
                 f"no open session {session_id!r} for tenant {tenant!r}")
         return entry[0]
 
-    def _execution_config(self, base: ScanConfig,
-                          deadline: Optional[Deadline]) -> Optional[ScanConfig]:
-        """What the scan actually runs with: the engine's config, the
-        request deadline threaded into the dispatch wait budget, and —
-        when the serve breaker is open — parallel dispatch degraded to
-        inline serial."""
-        config = base
-        if deadline is not None:
-            config = config.replace(
-                deadline_s=max(deadline.remaining(), 1e-6))
-        if config.parallel_enabled() and not self.breaker.allow():
-            config = config.serial()
-            _DEGRADED.inc()
-        return None if config is base else config
-
     def _check_session_room(self) -> None:
         """Caller holds the session lock: refuse a session past the
         gateway-wide cap."""
@@ -438,9 +419,9 @@ class Gateway:
         runs off the loop."""
         if hosted is None:
             return key is None
-        config = hosted.matcher.config
-        return (self._off_loop == 0 and config.backend == "compiled"
-                and request.size < config.min_parallel_bytes)
+        return (self._off_loop == 0
+                and hosted.matcher.config.backend == "compiled"
+                and request.size < INLINE_LIMIT_BYTES)
 
     def _run_request(self, request: _Request,
                      hosted: Optional[HostedEngine],
@@ -464,7 +445,7 @@ class Gateway:
                 if hosted is None:
                     hosted = self._obtain(request, key)
                 info["fingerprint"] = hosted.fingerprint
-                return request.run(hosted, request.deadline, info)
+                return request.run(hosted, info)
         finally:
             info["wall_s"] = round(time.perf_counter() - begin_wall, 6)
             info["cpu_s"] = round(time.thread_time() - begin_cpu, 6)
@@ -495,6 +476,10 @@ class Gateway:
                 continue
             info: Dict[str, object] = {"offloaded": False}
             outcome = "ok"
+            # The breaker refuses nothing; asking it lets an open
+            # circuit go half-open once its cooldown has passed, so
+            # this request's outcome closes or re-opens it.
+            self.breaker.allow()
             try:
                 deadline = request.deadline
                 if deadline is not None and deadline.expired():

@@ -40,7 +40,8 @@ from .. import obs
 from ..api import Matcher, fingerprint_patterns
 from ..api import compile as compile_patterns
 from ..parallel.config import ScanConfig
-from .config import ServeConfig
+from ..regex.parser import RegexSyntaxError
+from .config import BadRequestError, ServeConfig
 
 _REG = obs.registry()
 _ENGINES = _REG.gauge(
@@ -173,7 +174,8 @@ class EngineHost:
         """The resident engine for ``key``, or a fresh one compiled and
         inserted — off a donor when ``incremental``.  Every kernel is
         built before the engine becomes resident, so a hit never
-        generates code."""
+        generates code.  A pattern that does not parse raises
+        :class:`~repro.serve.config.BadRequestError`."""
         with self._lock:
             hosted = self._hit(key)
             if hosted is not None:
@@ -185,14 +187,18 @@ class EngineHost:
         # both callers hold working engines.
         begin = time.perf_counter()
         update = None
-        if donor is None:
-            matcher = compile_patterns(key.patterns, config=key.config)
-        else:
-            from ..core.incremental import update_engine
-
-            engine, update = update_engine(donor.engine, key.patterns,
+        try:
+            if donor is None:
+                matcher = compile_patterns(key.patterns,
                                            config=key.config)
-            matcher = Matcher(engine, key.patterns)
+            else:
+                from ..core.incremental import update_engine
+
+                engine, update = update_engine(donor.engine, key.patterns,
+                                               config=key.config)
+                matcher = Matcher(engine, key.patterns)
+        except RegexSyntaxError as exc:
+            raise BadRequestError(f"unparseable pattern: {exc}") from exc
         matcher.engine.build_kernels()
         elapsed = time.perf_counter() - begin
         _COMPILE_SECONDS.observe(elapsed)

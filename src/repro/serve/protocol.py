@@ -120,8 +120,7 @@ def report_payload(report: ScanReport) -> Dict[str, object]:
                         for pattern, ends in sorted(report.found.items())},
             "match_count": report.match_count(),
             "stream_offset": report.stream_offset,
-            "input_bytes": report.input_bytes,
-            "dispatch": report.dispatch}
+            "input_bytes": report.input_bytes}
 
 
 def ok_response(request_id, body: Dict[str, object]) -> Dict[str, object]:

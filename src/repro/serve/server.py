@@ -6,11 +6,15 @@ to a TCP listener speaking the JSONL protocol
 requests on a connection are *dispatched* in arrival order but resolve
 concurrently across tenants (each tenant's lane serializes its own
 work), and responses are written as they complete, matched to requests
-by the echoed ``id``.
+by the echoed ``id``.  Both ends read lines of up to
+:data:`LINE_LIMIT_BYTES`; a longer request line is answered
+``bad-request`` once, and the server then closes the connection.
 
 :class:`GatewayClient` is the matching asyncio client — enough for
 tests, the CLI self-test, and the serving benchmark; it pipelines
-requests and correlates responses by id.
+requests and correlates responses by id, and fails every pending
+request with a :class:`~repro.serve.config.GatewayError` once its
+connection ends or a response line overruns the limit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from . import protocol
 from .config import BadRequestError, GatewayError, ServeConfig
 from .gateway import Gateway, _DEFAULT
 from .telemetry import MetricsServer
+
+#: the longest request or response line either end reads: room for a
+#: base64 payload far above the gateway's inline limit
+#: (:data:`~repro.serve.gateway.INLINE_LIMIT_BYTES`) beside a large
+#: pattern list
+LINE_LIMIT_BYTES = 8 * 1024 * 1024
 
 
 class GatewayServer:
@@ -48,7 +58,8 @@ class GatewayServer:
         """Bind and listen; with ``port=0`` the kernel picks a free
         port, readable from :attr:`port` afterwards."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=LINE_LIMIT_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
         metrics_port = self.gateway.config.metrics_port
         if metrics_port is not None:
@@ -90,7 +101,15 @@ class GatewayServer:
         pending = set()
         try:
             while True:
-                line = await reader.readline()
+                line = await self._read_line(reader)
+                if line is None:
+                    await self._write(writer, write_lock,
+                                      protocol.error_response(
+                                          None, BadRequestError(
+                                              f"request line over "
+                                              f"{LINE_LIMIT_BYTES} "
+                                              f"bytes")))
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -111,6 +130,26 @@ class GatewayServer:
                     asyncio.CancelledError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader
+                         ) -> Optional[bytes]:
+        """The next request line (``b""`` at end of input), or ``None``
+        for a line over :data:`LINE_LIMIT_BYTES`.  An over-limit line
+        is read and dropped through its newline, so closing the
+        connection afterwards does not reset it before the client has
+        read the answer."""
+        over = False
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:  # end of input
+                line = exc.partial
+            except asyncio.LimitOverrunError as exc:
+                over = True
+                await reader.readexactly(exc.consumed)
+                continue
+            return None if over else line
+
     async def _serve_line(self, line: bytes,
                           writer: asyncio.StreamWriter,
                           write_lock: asyncio.Lock) -> None:
@@ -122,6 +161,12 @@ class GatewayServer:
             response = protocol.ok_response(request_id, body)
         except Exception as exc:  # every failure becomes a response
             response = protocol.error_response(request_id, exc)
+        await self._write(writer, write_lock, response)
+
+    @staticmethod
+    async def _write(writer: asyncio.StreamWriter,
+                     write_lock: asyncio.Lock,
+                     response: Dict[str, object]) -> None:
         async with write_lock:
             writer.write(protocol.encode(response))
             try:
@@ -175,10 +220,12 @@ class GatewayClient:
         self._ids = 0
         self._waiters: Dict[object, "asyncio.Future"] = {}
         self._pump: Optional["asyncio.Task"] = None
+        #: why the response reader stopped; set once it has
+        self._lost: Optional[str] = None
 
     async def connect(self) -> "GatewayClient":
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
+            self.host, self.port, limit=LINE_LIMIT_BYTES)
         self._pump = asyncio.ensure_future(self._read_responses())
         return self
 
@@ -200,19 +247,34 @@ class GatewayClient:
 
     async def _read_responses(self) -> None:
         assert self._reader is not None
-        while True:
-            line = await self._reader.readline()
-            if not line:
-                break
-            response = protocol.parse_response(line)
-            waiter = self._waiters.pop(response.get("id"), None)
-            if waiter is not None and not waiter.done():
-                waiter.set_result(response)
+        reason = "connection closed"
+        try:
+            while True:
+                line = await self._reader.readline()
+                if not line:
+                    break
+                response = protocol.parse_response(line)
+                waiter = self._waiters.pop(response.get("id"), None)
+                if waiter is not None and not waiter.done():
+                    waiter.set_result(response)
+        except ValueError as exc:   # over the line limit, or not JSON
+            reason = f"unreadable response: {exc}"
+        except ConnectionError as exc:
+            reason = f"connection lost: {exc!r}"
+        finally:
+            # No later response can arrive: fail whoever still waits.
+            self._lost = reason
+            waiters, self._waiters = self._waiters, {}
+            for waiter in waiters.values():
+                if not waiter.done():
+                    waiter.set_exception(GatewayError(reason))
 
     async def request(self, op: str, **fields) -> Dict[str, object]:
         """Send one request, await its correlated response.  Error
         responses raise :class:`GatewayError` with the wire code."""
         assert self._writer is not None, "call connect() first"
+        if self._lost is not None:
+            raise GatewayError(self._lost)
         self._ids += 1
         request_id = self._ids
         payload = {"id": request_id, "op": op}

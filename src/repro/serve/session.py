@@ -38,10 +38,7 @@ class Session:
         config = hosted.matcher.config
         if max_tail_bytes is not None:
             config = config.replace(max_tail_bytes=max_tail_bytes)
-        # Session feeds run serial: a gateway interleaves *sessions*,
-        # and per-chunk pool dispatch would pay sharding overhead on
-        # every small packet.
-        self.matcher = hosted.matcher.stream(config=config.serial())
+        self.matcher = hosted.matcher.stream(config=config)
         self.opened_at = time.monotonic()
         #: last feed (or open) time — what idle eviction measures
         self.last_active = self.opened_at

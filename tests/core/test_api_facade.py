@@ -73,9 +73,8 @@ def test_matcher_scan_many():
 
 def test_per_scan_knob_override():
     matcher = repro.compile(PATTERNS, geometry=TINY)
-    report = matcher.scan(DATA, workers=2, executor="thread",
-                          min_parallel_bytes=0)
-    assert report.dispatch == "parallel"
+    report = matcher.scan(DATA, prefilter=True)
+    assert matcher.engine.last_prefilter is not None   # the gate ran
     assert report == matcher.scan(DATA).matches    # bit-identical
 
 
@@ -87,7 +86,7 @@ def test_fingerprint_stable_and_config_sensitive():
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()      # compile key differs
     assert a.fingerprint() != d.fingerprint()      # patterns differ
-    # dispatch knobs are not part of the compiled artefact's identity
+    # pool knobs are not part of the compiled artefact's identity
     e = repro.compile(PATTERNS, geometry=TINY, workers=4,
                       executor="thread")
     assert a.fingerprint() == e.fingerprint()

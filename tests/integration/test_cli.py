@@ -82,7 +82,7 @@ def test_no_patterns_errors():
         main(["--text", "x"])
 
 
-def test_scan_reports_dispatch(tmp_path, capsys):
+def test_scan_reports_json(tmp_path, capsys):
     import json
 
     rules = tmp_path / "rules.txt"
@@ -90,9 +90,18 @@ def test_scan_reports_dispatch(tmp_path, capsys):
     payload = tmp_path / "data.bin"
     payload.write_bytes(b"a cat and a dog")
     code, out = run_cli(capsys, "scan", "--patterns", str(rules),
-                        "--workers", "2", "--executor", "thread",
                         str(payload))
     assert code == 0
     report = json.loads(out)
     assert report["match_count"] == 2
-    assert report["dispatch"] == "serial-small-input"
+    assert report["matches"] == {"0": [4], "1": [14]}
+    assert report["file"] == str(payload)
+    assert "dispatch" not in report and "faults" not in report
+
+
+def test_scan_rejects_removed_pool_flags(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("cat\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--patterns", str(rules), "--workers", "2"])
+    assert exc.value.code == 2

@@ -34,11 +34,10 @@ def chrome_span_names(out) -> set:
 def test_chrome_export_contains_pipeline_spans(tmp_path, capsys):
     names = chrome_span_names(run_trace(tmp_path, "--export", "chrome"))
     # The compiled pipeline (the trace default): compile stages,
-    # codegen, sharded dispatch, and kernel execution.  A compiled
-    # engine lowers, then stops, so no optimizer span is recorded.
+    # codegen, the scan, and kernel execution.  A compiled engine
+    # lowers, then stops, so no optimizer span is recorded.
     for required in ("compile", "parse", "group", "lower", "codegen",
-                     "scan", "scan.parallel", "shard", "exec",
-                     "exec.batch"):
+                     "scan", "exec", "exec.batch"):
         assert required in names, f"missing span {required!r}"
     assert "optimize" not in names
     assert not any(name.startswith("pass:") for name in names)
@@ -48,7 +47,7 @@ def test_chrome_export_contains_pipeline_spans(tmp_path, capsys):
 def test_simulate_chrome_export_contains_optimizer_spans(tmp_path):
     names = chrome_span_names(run_trace(
         tmp_path, "--export", "chrome", "--backend", "simulate"))
-    for required in ("compile", "lower", "optimize", "scan", "shard"):
+    for required in ("compile", "lower", "optimize", "scan", "exec"):
         assert required in names, f"missing span {required!r}"
     assert any(name.startswith("pass:") for name in names)
 
@@ -68,7 +67,7 @@ def test_prometheus_export(tmp_path):
     out = run_trace(tmp_path, "--export", "prometheus")
     text = out.read_text()
     assert "# TYPE repro_kernel_cache_lookups_total counter" in text
-    assert "# TYPE repro_scan_dispatch_total counter" in text
+    assert "# TYPE repro_scan_input_bytes_total counter" in text
     for line in text.splitlines():
         if line and not line.startswith("#"):
             float(line.rsplit(" ", 1)[1])

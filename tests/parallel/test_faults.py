@@ -3,9 +3,10 @@
 Unit level: :class:`WorkerPool` recovers every faulted shard through
 the serial function and records a :class:`ShardFault` per incident.
 End to end: with ``REPRO_CHAOS="worker.*:exception"`` armed, every
-worker raises before touching its shard, yet parallel scans still
-return results bit-identical to serial — only ``last_scan_faults``
-tells the difference.
+grid cell's worker raises before running it, yet
+:meth:`Harness.run_all` still returns rows identical to the serial
+grid — only ``last_scan_faults`` tells the difference.  Scans never
+reach a worker, so the same chaos cannot touch them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from repro.core.engine import BitGenEngine
 from repro.gpu.machine import CTAGeometry
 from repro.parallel.config import ScanConfig
 from repro.parallel.pool import WorkerPool, shutdown
-from repro.resilience import CHAOS_ENV
+from repro.resilience import CHAOS_ENV, chaos
+
+from . import helpers
+from .helpers import GRID_APPS, GRID_ENGINES, grid, pool_config, rows
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 
@@ -116,81 +120,67 @@ def test_serial_fallback_failure_propagates():
 
 
 def build(workers=2, **extra):
-    # min_parallel_bytes=0: these streams are tiny, and the point is to
-    # exercise the parallel path (and its fault recovery), not to let
-    # the small-input fallback route around it.
     return BitGenEngine.compile(
         PATTERNS, config=ScanConfig(geometry=TINY, workers=workers,
                                     executor="thread",
-                                    min_parallel_bytes=0,
                                     loop_fallback=True, **extra))
 
 
-def test_injected_faults_keep_match_many_identical(monkeypatch):
+def test_injected_faults_keep_match_many_identical():
+    """A scan configured with workers runs in the calling thread: the
+    armed worker sites never fire, and the results equal serial."""
     serial = build(workers=1).match_many(STREAMS)
     engine = build()
-    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
-    parallel = engine.match_many(STREAMS)
-    assert engine.last_scan_faults            # every shard faulted
-    assert all(f.kind == "error" and "InjectedFault" in f.error
-               for f in engine.last_scan_faults)
+    chaos.install(chaos.ChaosPlan(rules=(
+        chaos.ChaosRule(site="worker.*", kind="exception"),)))
+    try:
+        parallel = engine.match_many(STREAMS)
+        assert chaos.active_state().injections() == 0
+    finally:
+        chaos.reset()
     for left, right in zip(parallel, serial):
         assert left.ends == right.ends
         assert left.metrics == right.metrics
 
 
 def test_injected_faults_keep_group_scan_identical(monkeypatch):
+    """``scan`` runs every group of the engine in the calling thread,
+    armed chaos or not."""
     serial = build(workers=1).match(DATA)
     engine = build(workers=3)
     monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
     report = engine.scan(DATA)
-    assert report.faults and all(f.kind == "error"
-                                 for f in report.faults)
     assert report == serial.ends
     assert report.metrics == serial.metrics
     assert report.cta_metrics == serial.cta_metrics
 
 
-def test_clean_run_resets_faults(monkeypatch):
-    engine = build()
+def test_injected_faults_keep_grid_identical(monkeypatch):
+    serial = rows(grid())
     monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
-    engine.match_many(STREAMS)
-    assert engine.last_scan_faults
+    harness = helpers.harness()
+    runs = harness.run_all(GRID_APPS, GRID_ENGINES,
+                           config=pool_config())
+    assert rows(runs) == serial
+    assert len(harness.last_scan_faults) == len(runs)  # every cell
+    assert all(f.kind == "error" and "InjectedFault" in f.error
+               for f in harness.last_scan_faults)
+
+
+def test_clean_run_resets_faults(monkeypatch):
+    harness = helpers.harness()
+    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
+    harness.run_all(GRID_APPS, GRID_ENGINES, config=pool_config())
+    assert harness.last_scan_faults
     monkeypatch.delenv(CHAOS_ENV)
-    engine.match_many(STREAMS)
-    assert engine.last_scan_faults == []
+    harness.run_all(GRID_APPS, GRID_ENGINES, config=pool_config())
+    assert harness.last_scan_faults == []
 
 
 def test_serial_dispatch_resets_faults(monkeypatch):
-    engine = build()
+    harness = helpers.harness()
     monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
-    engine.match_many(STREAMS)
-    assert engine.last_scan_faults
-    serial = engine.config.serial()
-    engine.scan(DATA, config=serial)
-    assert engine.last_dispatch == "serial"
-    assert engine.last_scan_faults == []
-    engine.match_many(STREAMS)
-    engine.match_many(STREAMS, config=serial)
-    assert engine.last_scan_faults == []
-    engine.match_many(STREAMS)
-    engine.scan(DATA[:10], config=engine.config.replace(
-        min_parallel_bytes=len(DATA)))
-    assert engine.last_dispatch == "serial-small-input"
-    assert engine.last_scan_faults == []
-
-
-def test_scan_many_reports_carry_dispatch_and_faults(monkeypatch):
-    from repro.api import compile
-
-    matcher = compile(PATTERNS, geometry=TINY, workers=2,
-                      executor="thread", min_parallel_bytes=0,
-                      loop_fallback=True)
-    monkeypatch.setenv(CHAOS_ENV, "worker.*:exception")
-    reports = matcher.scan_many(STREAMS)
-    faults = matcher.engine.last_scan_faults
-    assert len(faults) == 2                   # one per shard
-    for report, stream in zip(reports, STREAMS):
-        assert report.dispatch == "parallel"
-        assert report.faults == faults
-        assert report == build(workers=1).match(stream).ends
+    harness.run_all(GRID_APPS, GRID_ENGINES, config=pool_config())
+    assert harness.last_scan_faults
+    harness.run_all(GRID_APPS, GRID_ENGINES)     # the harness's workers=1
+    assert harness.last_scan_faults == []

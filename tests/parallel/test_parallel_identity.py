@@ -1,13 +1,10 @@
-"""Parallel scans must be bit-identical to serial scans.
+"""Scans ignore the pool settings; harness grids do not.
 
-The dispatcher's core guarantee: sharding across workers changes wall
-clock, never results — match positions, aggregated metrics and the
-prefilter's gate reports come out equal because every shard runs the
-serial unit of work (one input's basis words plus the groups to run
-on it), and only the parent gates.
-
-Thread pools exercise the dispatch logic cheaply; one process-pool
-case covers pickling + the shared on-disk kernel cache end to end.
+Every scan runs :meth:`BitGenEngine.match_words` in the calling
+thread: a config asking for workers scans exactly as ``workers=1``
+does — same match positions, aggregated metrics and gate reports —
+and acquires no pool.  A :meth:`Harness.run_all` grid is the one thing
+the pool runs, and its rows equal the serial grid's.
 """
 
 from __future__ import annotations
@@ -16,11 +13,11 @@ import pytest
 
 from repro.core.engine import BitGenEngine
 from repro.core.schemes import Scheme
-from repro.core.streaming import StreamingMatcher
 from repro.gpu.machine import CTAGeometry
 from repro.parallel.config import ScanConfig
-from repro.parallel.scan import (ParallelScanner, parallel_sessions,
-                                 plan_group_shards, plan_stream_shards)
+from repro.parallel.pool import pool_stats
+
+from .helpers import grid, pool_config, rows
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 
@@ -33,14 +30,16 @@ STREAMS = [DATA[:97], DATA[:200], DATA[:97], DATA[:500], DATA[:64],
            DATA[:200], DATA[:33]]
 
 
-def build(backend, scheme=Scheme.ZBS, **dispatch):
-    # min_parallel_bytes=0: identity tests want the parallel path even
-    # on these deliberately tiny inputs.
+def build(backend, scheme=Scheme.ZBS, **pool):
     return BitGenEngine.compile(
         PATTERNS, config=ScanConfig(geometry=TINY, backend=backend,
                                     scheme=scheme, cta_count=4,
-                                    min_parallel_bytes=0,
-                                    loop_fallback=True, **dispatch))
+                                    loop_fallback=True, **pool))
+
+
+def acquisitions() -> float:
+    stats = pool_stats()
+    return stats["warm"] + stats["cold"]
 
 
 def assert_results_identical(parallel, serial):
@@ -51,71 +50,21 @@ def assert_results_identical(parallel, serial):
         assert left.cta_metrics == right.cta_metrics
 
 
-# -- shard planning ----------------------------------------------------------
-
-
-def test_stream_plan_per_stream_without_batches():
-    plan = plan_stream_shards(STREAMS, workers=len(STREAMS) + 3)
-    assert sorted(i for s in plan for i in s) == list(range(len(STREAMS)))
-    assert len(plan) <= len(STREAMS)
-
-
-def test_group_plan_shards_single_groups():
-    engine = build("compiled")
-    plan = plan_group_shards(engine, workers=3)
-    flat = sorted(index for shard in plan for index in shard)
-    assert flat == list(range(len(engine.groups)))
-    assert len(plan) == 3
-    # A prefiltered scan plans over the active groups only.
-    active = [0, 2]
-    plan = plan_group_shards(engine, workers=3, groups=active)
-    assert sorted(i for shard in plan for i in shard) == active
-    assert all(len(shard) == 1 for shard in plan)
-
-
-# -- match_many (stream sharding) -------------------------------------------
+# -- match_many ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", ["simulate", "compiled"])
 @pytest.mark.parametrize("scheme", [Scheme.BASE, Scheme.SR, Scheme.ZBS])
 def test_match_many_identical_across_schemes(backend, scheme):
     serial = build(backend, scheme).match_many(STREAMS)
-    parallel_engine = build(backend, scheme, workers=3,
-                            executor="thread")
-    parallel = parallel_engine.match_many(STREAMS)
+    before = acquisitions()
+    parallel = build(backend, scheme, workers=3,
+                     executor="thread").match_many(STREAMS)
     assert_results_identical(parallel, serial)
-    assert parallel_engine.last_scan_faults == []
+    assert acquisitions() == before
 
 
-# -- single-input scan (group sharding) -------------------------------------
-
-
-@pytest.mark.parametrize("backend", ["simulate", "compiled"])
-def test_group_sharded_scan_identical(backend):
-    serial = build(backend).match(DATA)
-    engine = build(backend, workers=3, executor="thread")
-    report = engine.scan(DATA)
-    assert report == serial.ends
-    assert report.metrics == serial.metrics
-    assert report.cta_metrics == serial.cta_metrics
-    assert report.faults == []
-
-
-def test_scanner_match_preserves_group_order():
-    serial = build("compiled").match(DATA)
-    scanner = ParallelScanner(build("compiled"),
-                              ScanConfig(geometry=TINY,
-                                         backend="compiled",
-                                         cta_count=4, workers=3,
-                                         executor="thread",
-                                         loop_fallback=True))
-    merged = scanner.match(DATA)
-    assert merged.ends == serial.ends
-    assert merged.cta_metrics == serial.cta_metrics
-    assert merged.metrics == serial.metrics
-
-
-# -- prefiltered scans: the parent gates, shards never do -------------------
+# -- prefiltered scans ----------------------------------------------------------
 
 GATED_PATTERNS = [f"sig{i:05d}[0-9]+x" for i in range(40)] \
     + ["[a-y][a-y0-9]*z3q"]
@@ -124,20 +73,16 @@ GATED_STREAMS = [b"sig00003 17x .. sig00017 4x ab0z3q " * 40,
                  b"zz sig00025 9x " * 60, b"." * 1500]
 
 
-def gated_engine(backend, **dispatch):
+def gated_engine(backend, **pool):
     return BitGenEngine.compile(
         GATED_PATTERNS, config=ScanConfig(backend=backend, cta_count=8,
-                                          prefilter=True,
-                                          min_parallel_bytes=0,
-                                          **dispatch))
+                                          prefilter=True, **pool))
 
 
 def gated_view(report, cta_metrics, gate):
-    """What must agree: the report minus how it was dispatched, the
-    per-CTA metrics, and the gate report."""
-    payload = report.to_dict()
-    del payload["dispatch"], payload["faults"]
-    return payload, cta_metrics, gate.to_dict()
+    """What must agree: the report, the per-CTA metrics, and the gate
+    report."""
+    return report.to_dict(), cta_metrics, gate.to_dict()
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -145,9 +90,9 @@ def gated_view(report, cta_metrics, gate):
 def test_prefiltered_match_many_identical(backend, executor):
     serial = gated_engine(backend).match_many(GATED_STREAMS)
     engine = gated_engine(backend, workers=2, executor=executor)
+    before = acquisitions()
     parallel = engine.match_many(GATED_STREAMS)
-    assert engine.last_dispatch == "parallel"
-    assert engine.last_scan_faults == []
+    assert acquisitions() == before
     assert [gated_view(r.report(), r.cta_metrics, r.prefilter)
             for r in parallel] == \
         [gated_view(r.report(), r.cta_metrics, r.prefilter)
@@ -164,9 +109,9 @@ def test_prefiltered_scan_identical(backend, executor):
     serial_engine = gated_engine(backend)
     serial = serial_engine.scan(data)
     engine = gated_engine(backend, workers=2, executor=executor)
+    before = acquisitions()
     parallel = engine.scan(data)
-    assert parallel.dispatch == "parallel"
-    assert parallel.faults == []
+    assert acquisitions() == before
     assert serial_engine.last_prefilter.skipped > 0
     assert gated_view(parallel, parallel.cta_metrics,
                       engine.last_prefilter) == \
@@ -174,59 +119,37 @@ def test_prefiltered_scan_identical(backend, executor):
                    serial_engine.last_prefilter)
 
 
-# -- streaming sessions ------------------------------------------------------
-
-
-def test_parallel_sessions_identical():
-    chunk_lists = [
-        [DATA[:64], DATA[64:200], DATA[200:260]],
-        [DATA[:33], DATA[33:150]],
-        [DATA[:128], DATA[128:129], DATA[129:400]],
-    ]
-    serial_engine = build("simulate")
-    serial = [StreamingMatcher(serial_engine).feed_all(chunks)
-              for chunks in chunk_lists]
-    engine = build("simulate", workers=3, executor="thread")
-    reports = parallel_sessions(engine, chunk_lists)
-    for left, right in zip(reports, serial):
-        assert dict(left) == dict(right)
-        assert left.stream_offset == right.stream_offset
-        assert left.metrics == right.metrics
-        assert left.faults == []
-
-
-# -- one end-to-end process-pool case ---------------------------------------
+# -- scans inside process workers ------------------------------------------
 
 
 @pytest.mark.slow
 def test_match_many_identical_through_process_pool(tmp_path):
-    serial = build("compiled").match_many(STREAMS[:4])
-    engine = build("compiled", workers=2, executor="process",
-                   cache_dir=str(tmp_path / "kernels"))
-    parallel = engine.match_many(STREAMS[:4])
-    assert_results_identical(parallel, serial)
-    assert engine.last_scan_faults == []
-    # The shared cache was seeded parent-side for the workers.
+    """What a grid cell does in a process worker — compile, attach the
+    shared disk cache, ``match_many`` — equals the parent's scan."""
+    from repro.parallel.pool import WorkerPool
+    from repro.parallel.worker import attach_disk_cache
+
+    from .helpers import match_many_task
+
+    cache_dir = str(tmp_path / "kernels")
+    engine = build("compiled")
+    serial = [(r.ends, r.metrics, r.cta_metrics)
+              for r in engine.match_many(STREAMS)]
+    attach_disk_cache(cache_dir)
+    engine.build_kernels()            # the parent seeds the disk cache
+    pool = WorkerPool(pool_config(executor="process",
+                                  cache_dir=cache_dir))
+    halves = [STREAMS[:4], STREAMS[4:]]
+    results, faults = pool.map_shards(
+        match_many_task,
+        [(PATTERNS, engine.config, half, cache_dir) for half in halves])
+    assert faults == []
+    assert results[0] + results[1] == serial
     assert any((tmp_path / "kernels").iterdir())
 
 
 # -- harness grid ------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_run_all_identical():
-    from repro.perf.harness import Harness
-
-    apps = ["Snort"]
-    engines = ("BitGen", "HS-1T")
-    serial = Harness(config=ScanConfig()).run_all(apps, engines)
-    parallel = Harness(
-        config=ScanConfig(workers=2, executor="thread",
-                          min_parallel_bytes=0)).run_all(
-            apps, engines)
-    assert [r.engine for r in parallel] == [r.engine for r in serial]
-    for left, right in zip(parallel, serial):
-        assert left.app == right.app
-        assert left.match_count == right.match_count
-        assert left.mbps == pytest.approx(right.mbps)
-        assert left.metrics == right.metrics
+    assert rows(grid(pool_config())) == rows(grid())

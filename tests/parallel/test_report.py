@@ -1,9 +1,10 @@
 """ScanReport: the unified result surface.
 
 The report must behave like the old bare ``Dict[int, List[int]]``
-(Mapping interface, dict equality) while carrying offsets, metrics,
-and shard faults, and must merge associatively for streaming and
-sharded aggregation.
+(Mapping interface, dict equality) while carrying offsets and metrics,
+and must merge associatively for streaming aggregation.
+:class:`ShardFault`, the worker pool's fault record, serialises here
+too.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def test_bitgen_result_report():
     assert report.pattern_count == 2
     assert report.metrics == result.metrics
     assert report.cta_metrics == result.cta_metrics
-    assert report.faults == []
 
 
 # -- merge -------------------------------------------------------------------
@@ -88,9 +88,7 @@ def test_merge_accumulates_everything():
     second = ScanReport(pattern_count=2, matches={0: [6], 1: [5]},
                         stream_offset=9, input_bytes=5,
                         metrics=KernelMetrics(thread_word_ops=7,
-                                              barriers=1),
-                        faults=[ShardFault(shard=1, kind="error",
-                                           error="boom")])
+                                              barriers=1))
     merged = first.merge(second)
     assert merged is first
     assert merged == {0: [1, 6], 1: [5]}
@@ -98,7 +96,6 @@ def test_merge_accumulates_everything():
     assert merged.input_bytes == 9
     assert merged.metrics.thread_word_ops == 17
     assert merged.metrics.barriers == 3
-    assert [f.kind for f in merged.faults] == ["error"]
 
 
 def test_merge_never_mutates_lists_it_does_not_own():
@@ -163,9 +160,7 @@ def reference_json(reference, report) -> str:
         "matches": {str(k): v for k, v in sorted(reference.items())},
         "stream_offset": report.stream_offset,
         "input_bytes": report.input_bytes,
-        "dispatch": report.dispatch,
         "metrics": asdict(report.metrics),
-        "faults": [fault.to_dict() for fault in report.faults],
     })
 
 
@@ -233,18 +228,14 @@ def test_sparse_report_and_result_equal_the_dense_reference(left, right):
 
 def test_to_json_round_trips():
     report = ScanReport(pattern_count=2, matches={0: [3, 4]},
-                        stream_offset=7, input_bytes=7,
-                        faults=[ShardFault(shard=0, kind="timeout",
-                                           error="worker exceeded 1s")])
+                        stream_offset=7, input_bytes=7)
     payload = json.loads(report.to_json(indent=2))
+    assert list(payload) == ["pattern_count", "match_count", "matches",
+                             "stream_offset", "input_bytes", "metrics"]
     assert payload["pattern_count"] == 2
     assert payload["match_count"] == 2
     assert payload["matches"] == {"0": [3, 4], "1": []}
     assert payload["stream_offset"] == 7
-    assert payload["faults"] == [{"shard": 0, "kind": "timeout",
-                                  "error": "worker exceeded 1s",
-                                  "fallback": "serial",
-                                  "traceback": "", "retries": 0}]
     assert "thread_word_ops" in payload["metrics"]
 
 
@@ -258,31 +249,3 @@ def test_shard_fault_to_dict():
                                "retries": 1}
     assert "kind=pool" in fault.summary()
     assert "retries=1" in fault.summary()
-
-
-def test_report_records_dispatch():
-    assert ScanReport(pattern_count=1).dispatch == "serial"
-    parallel = ScanReport(pattern_count=1, dispatch="parallel")
-    assert parallel.dispatch == "parallel"
-    assert parallel.to_dict()["dispatch"] == "parallel"
-    payload = json.loads(parallel.to_json())
-    assert payload["dispatch"] == "parallel"
-
-
-def test_engine_scan_reports_small_input_fallback():
-    engine = compile_engine(["a(bc)*d"])
-    engine.config = engine.config.replace(workers=2, executor="thread",
-                                          min_parallel_bytes=1 << 20)
-    report = engine.scan(b"abcbcd abcd")
-    assert report.dispatch == "serial-small-input"
-    assert engine.last_dispatch == "serial-small-input"
-
-
-def test_match_many_dispatch_survives_worker_reentry():
-    # Worker fallbacks re-enter match_many on the same engine with a
-    # serial config; the top-level "parallel" decision must survive.
-    engine = compile_engine(["abc", "dog"])
-    engine.config = engine.config.replace(workers=2, executor="thread",
-                                          min_parallel_bytes=64)
-    engine.match_many([b"xxabcxx " * 32])
-    assert engine.last_dispatch == "parallel"

@@ -143,7 +143,7 @@ def test_harness_config_pins_device_defaults():
 @pytest.mark.parametrize("bad", [
     {"opt_level": -1},
     {"opt_level": 3},
-    {"min_parallel_bytes": -1},
+    {"deadline_s": 0.0},
 ])
 def test_invalid_opt_and_threshold_fields_rejected(bad):
     with pytest.raises(ValueError):
@@ -157,18 +157,6 @@ def test_opt_level_defaults_to_full_pipeline():
 def test_opt_level_changes_compile_key():
     base = ScanConfig()
     assert base.compile_key() != base.replace(opt_level=0).compile_key()
-
-
-def test_parallel_for_bytes_threshold():
-    config = ScanConfig(workers=4, executor="thread",
-                        min_parallel_bytes=1024)
-    assert not config.parallel_for_bytes(1023)
-    assert config.parallel_for_bytes(1024)
-    # Serial configs never dispatch to a pool, whatever the size.
-    assert not ScanConfig(workers=1).parallel_for_bytes(1 << 30)
-    # A zero threshold restores the old always-parallel behaviour.
-    assert ScanConfig(workers=2, executor="thread",
-                      min_parallel_bytes=0).parallel_for_bytes(0)
 
 
 # -- process-pool start method ------------------------------------------------

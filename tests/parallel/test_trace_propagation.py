@@ -2,8 +2,9 @@
 
 The tentpole guarantee of :mod:`repro.obs.propagate`: spans recorded
 inside pool workers — threads or separate processes — stitch under the
-parent scan span with globally unique ids, and a scan run with tracing
-disabled pays (almost) nothing and reports ``trace=None``.
+span that dispatched them with globally unique ids, and a scan run
+with tracing disabled pays (almost) nothing and reports
+``trace=None``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from repro.gpu.machine import CTAGeometry
 from repro.obs.propagate import TracedShard, run_traced, unwrap
 from repro.obs.trace import TraceContext, Tracer
 from repro.parallel.config import ScanConfig
+from repro.parallel.pool import WorkerPool, shutdown
+
+from .helpers import PAYLOADS, cell, expected, pool_config
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 
@@ -32,21 +36,21 @@ def clean_obs_state():
     obs.stop_tracing()
 
 
-def build(executor):
+def build():
     return BitGenEngine.compile(
         PATTERNS, config=ScanConfig(geometry=TINY, backend="compiled",
-                                    cta_count=4, workers=2,
-                                    executor=executor,
-                                    min_parallel_bytes=0,
-                                    loop_fallback=True))
+                                    cta_count=4, loop_fallback=True))
 
 
-def traced_scan(executor):
-    engine = build(executor)
+def traced_dispatch(executor):
+    """One pool dispatch of the stand-in cell under a ``scan`` span."""
+    pool = WorkerPool(pool_config(executor=executor))
     tracer = obs.start_tracing()
-    report = engine.scan(DATA)
+    with obs.span("scan", category="scan"):
+        results, faults = pool.map_shards(cell, PAYLOADS)
     obs.stop_tracing()
-    return report, tracer.finished()
+    assert results == expected()
+    return faults, tracer.finished()
 
 
 def by_id(spans):
@@ -59,7 +63,7 @@ def assert_shards_under_scan(spans):
     index = by_id(spans)
     scan = next(s for s in spans if s["name"] == "scan")
     shards = [s for s in spans if s["name"] == "shard"]
-    assert len(shards) >= 2
+    assert len(shards) == len(PAYLOADS)
     for shard in shards:
         # Walk the parent chain up to the scan span.
         node = shard
@@ -76,23 +80,25 @@ def assert_shards_under_scan(spans):
 
 
 def test_thread_shards_stitch_under_scan():
-    report, spans = traced_scan("thread")
+    _, spans = traced_dispatch("thread")
     scan, shards = assert_shards_under_scan(spans)
-    assert report.dispatch == "parallel"
     assert all(s["pid"] == scan["pid"] for s in shards)
-    # Distinct worker threads recorded the shards' execution.
     assert {s["attrs"]["shard"] for s in shards} == \
         set(range(len(shards)))
 
 
 def test_report_trace_view_is_the_scan_subtree():
-    report, spans = traced_scan("thread")
+    engine = build()
+    tracer = obs.start_tracing()
+    report = engine.scan(DATA)
+    obs.stop_tracing()
+    spans = tracer.finished()
     assert report.trace is not None
     trace_ids = {s["id"] for s in report.trace}
     scan = next(s for s in spans if s["name"] == "scan")
     assert scan["id"] in trace_ids
-    shard_ids = {s["id"] for s in spans if s["name"] == "shard"}
-    assert shard_ids <= trace_ids
+    exec_ids = {s["id"] for s in spans if s["name"] == "exec"}
+    assert exec_ids and exec_ids <= trace_ids
     # Compile-time spans predate the scan and stay out of its view.
     compile_ids = {s["id"] for s in spans if s["name"] == "compile"}
     assert not compile_ids & trace_ids
@@ -102,15 +108,14 @@ def test_report_trace_view_is_the_scan_subtree():
 
 
 def test_process_shards_marshal_back():
-    report, spans = traced_scan("process")
+    faults, spans = traced_dispatch("process")
     scan, shards = assert_shards_under_scan(spans)
-    assert report.dispatch == "parallel"
-    if not any(f.kind == "pool" for f in report.faults):
+    if not any(f.kind == "pool" for f in faults):
         # Genuine process workers: shard spans carry foreign pids and
-        # their children (exec spans) came along with them.
+        # their children (the cells' own spans) came along with them.
         worker_pids = {s["pid"] for s in shards} - {scan["pid"]}
         assert worker_pids
-        assert any(s["name"] == "exec" and s["pid"] in worker_pids
+        assert any(s["name"] == "cell" and s["pid"] in worker_pids
                    for s in spans)
     assert len({s["trace"] for s in spans}) == 1
 
@@ -119,9 +124,7 @@ def test_process_shards_marshal_back():
 
 
 def test_disabled_tracer_reports_no_trace():
-    engine = build("thread")
-    report = engine.scan(DATA)
-    assert report.dispatch == "parallel"
+    report = build().scan(DATA)
     assert report.trace is None
     assert not obs.enabled()
 
@@ -129,8 +132,9 @@ def test_disabled_tracer_reports_no_trace():
 def test_disabled_pool_skips_span_marshalling():
     """Without a tracer the pool submits ``fn`` directly — results are
     never wrapped in TracedShard."""
-    engine = build("thread")
-    results = engine.match_many([DATA[:64], DATA[:128], DATA[:64]])
+    pool = WorkerPool(pool_config(executor="process"))
+    results, _ = pool.map_shards(cell, PAYLOADS)
+    assert results == expected()
     assert not any(isinstance(r, TracedShard) for r in results)
 
 
@@ -164,3 +168,7 @@ def test_run_traced_foreign_process_marshals():
     parent = Tracer(trace_id="t-x")
     assert unwrap(raw, parent) == 42
     assert parent.finished() == raw.spans
+
+
+def teardown_module(module):
+    shutdown()

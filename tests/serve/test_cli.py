@@ -52,7 +52,6 @@ def test_flags_reach_serve_config():
     args = build_serve_parser().parse_args(
         ["--max-engines", "3", "--queue-depth", "9",
          "--max-sessions", "17", "--deadline", "1.5",
-         "--workers", "2", "--executor", "thread",
          "--scheme", "SR", "--metrics-port", "0",
          "--access-log", "logs/access.jsonl",
          "--session-idle", "30", "--slo-target", "0.5"])
@@ -61,8 +60,6 @@ def test_flags_reach_serve_config():
     assert config.queue_depth == 9
     assert config.max_sessions == 17
     assert config.deadline_s == 1.5
-    assert config.scan.workers == 2
-    assert config.scan.executor == "thread"
     assert config.scan.scheme.name == "SR"
     assert config.metrics_port == 0
     assert config.access_log_path == "logs/access.jsonl"

@@ -13,12 +13,12 @@ import asyncio
 import pytest
 
 import repro
-from repro import obs
 from repro.gpu.machine import CTAGeometry
 from repro.parallel.config import ScanConfig
 from repro.serve import (DeadlineExceededError, Gateway, OverloadedError,
                          ServeConfig, SessionLimitError,
                          UnknownSessionError)
+from repro.serve.config import BadRequestError
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 CONFIG = ScanConfig(geometry=TINY)
@@ -125,31 +125,67 @@ def test_deadline_expired_in_queue_is_answered_without_scanning():
     assert "queue" in str(error)
 
 
-def test_breaker_degrades_parallel_scans_to_serial():
-    parallel = CONFIG.replace(workers=2, executor="thread",
-                              min_parallel_bytes=0)
-    degraded = obs.registry().counter("repro_serve_degraded_total")
+def test_breaker_opens_on_failures_and_changes_no_answer():
+    """Deadline failures open the serve breaker; it is reported in
+    ``stats()`` and changes how no request runs."""
 
     async def main():
-        gw = gateway(breaker_threshold=1, breaker_cooldown_s=60.0,
-                     scan=parallel)
+        gw = gateway(breaker_threshold=1, breaker_cooldown_s=60.0)
         healthy = await gw.scan("t", PATTERNS, DATA)
-        # an unparseable pattern is an internal failure: trips the
-        # one-strike breaker
-        with pytest.raises(Exception):
-            await gw.scan("t", ["(unclosed"], DATA)
-        before = degraded.value() or 0
+        with pytest.raises(DeadlineExceededError):
+            await gw.scan("t", PATTERNS, DATA, deadline_s=1e-6)
         after_open = await gw.scan("t", PATTERNS, DATA)
-        state = gw.breaker.state()
+        stats = gw.stats()
         await gw.close()
-        return healthy, after_open, state, before
+        return healthy, after_open, stats
 
-    healthy, after_open, state, before = run(main())
-    assert state == "open"
-    assert healthy.dispatch == "parallel"
-    assert after_open.dispatch != "parallel"   # degraded to inline
-    assert after_open == healthy.matches       # ...but bit-identical
-    assert degraded.value() == before + 1
+    healthy, after_open, stats = run(main())
+    assert stats["breaker"] == "open"
+    assert after_open == healthy.matches
+
+
+def test_breaker_closes_after_its_cooldown_and_a_success():
+    async def main():
+        gw = gateway(breaker_threshold=1, breaker_cooldown_s=0.0)
+        with pytest.raises(DeadlineExceededError):
+            await gw.scan("t", PATTERNS, DATA, deadline_s=1e-6)
+        opened = gw.breaker.state()
+        await gw.scan("t", PATTERNS, DATA)
+        state = gw.stats()["breaker"]
+        await gw.close()
+        return opened, state
+
+    assert run(main()) == ("open", "closed")
+
+
+#: one of each way a pattern can fail to parse
+UNPARSEABLE = ["a(b", "[z-a]", "*a", "a{2,1}", "\\"]
+
+
+@pytest.mark.parametrize("pattern", UNPARSEABLE)
+def test_unparseable_patterns_are_bad_requests(pattern):
+    """Every op that compiles answers ``bad-request`` for a pattern
+    that does not parse, and none counts against the breaker."""
+
+    async def main():
+        gw = gateway(breaker_threshold=2)
+        codes = []
+        for _ in range(gw.config.breaker_threshold):
+            for op in (lambda: gw.scan("t", [pattern], DATA),
+                       lambda: gw.compile("t", ["ok", pattern]),
+                       lambda: gw.open_session("t", [pattern])):
+                with pytest.raises(BadRequestError) as exc:
+                    await op()
+                codes.append(exc.value.code)
+        state = gw.breaker.state()
+        still = await gw.scan("t", PATTERNS, DATA)
+        await gw.close()
+        return codes, state, still
+
+    codes, state, still = run(main())
+    assert set(codes) == {"bad-request"}
+    assert state == "closed"
+    assert still == repro.scan(PATTERNS, DATA, config=CONFIG).matches
 
 
 def test_unknown_session_and_session_limit():

@@ -2,8 +2,8 @@
 
 Contract: a request that cannot compile (its engine is resident, or it
 feeds or closes an open session), whose engine runs the compiled
-backend and whose payload is shorter than the engine's
-``min_parallel_bytes`` runs on the event-loop thread while nothing
+backend and whose payload is shorter than the gateway's
+``INLINE_LIMIT_BYTES`` runs on the event-loop thread while nothing
 else runs off it; a registry miss, a simulated engine, a larger
 payload, or a request placed while one of those runs goes to the
 off-loop pool.  A request refused at placement is answered on the
@@ -26,16 +26,22 @@ from repro.backend import kernel_cache
 from repro.gpu.machine import CTAGeometry
 from repro.parallel.config import ScanConfig
 from repro.serve import Gateway, ServeConfig
+from repro.serve import gateway as gateway_mod
 from repro.serve.config import SessionLimitError, UnknownSessionError
 from repro.serve.host import EngineHost
 
 PATTERNS = ["a(bc)*d", "cat|dog", "[0-9][0-9]"]
 DATA = b"abcbcd cat 42 dog abcd and 7 cats, 99 dogs; abcbcbcd"
-#: DATA runs inline, twice DATA is at least min_parallel_bytes
-SMALL = ScanConfig(backend="compiled", min_parallel_bytes=len(DATA) + 1)
+SMALL = ScanConfig(backend="compiled")
+#: over the inline limit the tests set: DATA runs inline, LARGE does not
 LARGE = DATA * 2
 
 OFFLOADED = obs.registry().counter("repro_serve_loop_offload_total")
+
+
+@pytest.fixture(autouse=True)
+def inline_limit(monkeypatch):
+    monkeypatch.setattr(gateway_mod, "INLINE_LIMIT_BYTES", len(DATA) + 1)
 
 
 def run(coro):
@@ -162,8 +168,7 @@ def test_warm_simulated_requests_run_off_the_loop():
     """A simulated scan takes milliseconds to seconds (6 s for a
     40 KB input), so a simulated engine's requests never run on the
     loop, warm and short as they are."""
-    simulate = ScanConfig(backend="simulate",
-                          min_parallel_bytes=len(DATA) + 1)
+    simulate = ScanConfig(backend="simulate")
 
     async def main():
         gw = Gateway(ServeConfig(scan=simulate))

@@ -18,6 +18,8 @@ from repro.parallel.config import ScanConfig
 from repro.serve import GatewayClient, GatewayError, GatewayServer, \
     ServeConfig
 from repro.serve import protocol
+from repro.serve import server as server_mod
+from repro.serve.server import LINE_LIMIT_BYTES
 
 TINY = CTAGeometry(threads=4, word_bits=8)
 CONFIG = ServeConfig(scan=ScanConfig(geometry=TINY))
@@ -128,3 +130,100 @@ def test_protocol_data_validation():
     assert protocol.decode_data(
         {"data": protocol.encode_data(b"\x00\xffbytes")}) == \
         b"\x00\xffbytes"
+
+
+# -- line limits --------------------------------------------------------------
+
+
+def test_large_scans_and_long_responses_cross_the_wire():
+    """A 66,000-byte scan (its line is over asyncio's default 64 KiB
+    limit) and a 30,000-match response both round-trip, equal to
+    in-process scans."""
+    big = (DATA + b" ") * (66000 // (len(DATA) + 1) + 1)
+    big = big[:66000]
+    dense = b"a" * 30000
+
+    async def fn(server, client):
+        large = await client.scan("t", PATTERNS, big)
+        many = await client.scan("t", ["a"], dense)
+        return large, many
+
+    large, many = run(with_server(fn))
+    expected_large = repro.scan(PATTERNS, big, config=CONFIG.scan)
+    assert large["matches"] == {str(p): ends for p, ends
+                                in expected_large.found.items()}
+    assert many["matches"] == {"0": list(range(30000))}
+    assert many["match_count"] == 30000
+
+
+def test_over_limit_line_gets_bad_request_then_the_connection_closes():
+    oversized = (b'{"id": 1, "op": "scan", "tenant": "t", "data": "'
+                 + b"A" * LINE_LIMIT_BYTES + b'"}\n')
+
+    async def fn(server, client):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        writer.write(oversized)
+        await writer.drain()
+        response = json.loads(await reader.readline())
+        rest = await reader.read()
+        writer.close()
+        # the server still accepts connections, and the first client's
+        # connection is untouched
+        fresh = await GatewayClient("127.0.0.1", server.port).connect()
+        pong = await fresh.ping()
+        await fresh.close()
+        return response, rest, pong, await client.ping()
+
+    response, rest, pong, still = run(with_server(fn))
+    assert response["ok"] is False
+    assert response["error"] == "bad-request"
+    assert str(LINE_LIMIT_BYTES) in response["message"]
+    assert rest == b""                          # closed after answering
+    assert pong["ok"] is True and still["ok"] is True
+
+
+def test_client_raises_instead_of_hanging_on_an_over_limit_request():
+    async def fn(server, client):
+        with pytest.raises(GatewayError):
+            await asyncio.wait_for(
+                client.scan("t", PATTERNS, b"A" * LINE_LIMIT_BYTES), 60)
+        # the connection is gone: later requests fail at once
+        with pytest.raises(GatewayError):
+            await asyncio.wait_for(client.ping(), 60)
+
+    run(with_server(fn))
+
+
+def test_client_raises_when_a_response_overruns_its_reader(monkeypatch):
+    async def fn(server, client):
+        monkeypatch.setattr(server_mod, "LINE_LIMIT_BYTES", 1024)
+        small = await GatewayClient("127.0.0.1", server.port).connect()
+        try:
+            with pytest.raises(GatewayError) as exc:
+                await asyncio.wait_for(
+                    small.scan("t", ["a"], b"a" * 2000), 60)
+        finally:
+            await small.close()
+        return exc.value
+
+    error = run(with_server(fn))
+    assert "unreadable response" in str(error)
+
+
+@pytest.mark.parametrize("pattern",
+                         ["a(b", "[z-a]", "*a", "a{2,1}", "\\"])
+def test_unparseable_patterns_are_bad_requests_on_the_wire(pattern):
+    async def fn(server, client):
+        codes = []
+        for op, fields in (("scan", {"data": protocol.encode_data(DATA)}),
+                           ("compile", {}), ("open", {})):
+            with pytest.raises(GatewayError) as exc:
+                await client.request(op, tenant="t",
+                                     patterns=[pattern], **fields)
+            codes.append(exc.value.code)
+        return codes, (await client.request("stats"))["breaker"]
+
+    codes, breaker = run(with_server(fn))
+    assert codes == ["bad-request"] * 3
+    assert breaker == "closed"
