@@ -173,7 +173,7 @@ def _build_kernel(canonical, source: Optional[str] = None,
         code = compile(source,
                        f"<bitgen-kernel-{canonical.digest[:12]}>",
                        "exec")
-    namespace: Dict[str, object] = {}
+    namespace: Dict[str, object] = dict(runtime.KERNEL_GLOBALS)
     exec(code, namespace)
     return CompiledKernel(fingerprint=canonical.digest, source=source,
                           func=namespace["_kernel"], code=code)
@@ -188,6 +188,8 @@ class ClassTable:
     def __init__(self, index: Dict[int, int], recipes: Dict[int, Tuple],
                  cache: KernelCache):
         self.index = index
+        #: the entries' truth-table keys, in table order
+        self.keys = tuple(index)
         self.canonical = CanonicalClasses(list(index), recipes)
         self._cache = cache
         self._kernel: Optional[CompiledKernel] = None
@@ -202,8 +204,11 @@ class ClassTable:
         return self._kernel
 
     def evaluate(self, stream: runtime.KernelInput) -> Tuple[int, ...]:
-        """Every table entry over one input, in table order."""
-        return self.kernel.func(stream)
+        """Every table entry over one input, in table order, their keys
+        noted on ``stream`` for list-form ops."""
+        entries = self.kernel.func(stream)
+        stream.note_classes(self.keys, entries)
+        return entries
 
 
 @dataclass
@@ -222,7 +227,8 @@ class CompiledProgram:
             classes: Optional[Tuple[int, ...]] = None):
         """Execute over one converted input, reading ``classes`` (this
         program's table evaluated over ``stream``; computed here when
-        omitted).  Returns (name → output int,
+        omitted).  Returns (name → output, an int or a
+        :class:`~repro.backend.runtime.Positions` list,
         :class:`~repro.backend.runtime.KernelStats`)."""
         if classes is None:
             classes = self.table.evaluate(stream)

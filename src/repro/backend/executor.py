@@ -9,10 +9,11 @@ programs read is computed once, and programs sharing a kernel run as
 one batch, a CTA at a time.  Several input streams are just more
 independent dispatches — the paper's MIMD-style (group, stream) CTAs.
 
-:func:`iter_dispatch` yields each CTA's outputs as the kernel's ints,
-so a caller reads only the outputs it needs (the engine skips the
-ones with no match in O(1)); :func:`dispatch_words` converts every
-output to a ``(W,)`` uint64 word array at its own boundary.
+:func:`iter_dispatch` yields each CTA's outputs as the kernel left
+them, ints or position lists, so a caller reads only the outputs it
+needs (the engine skips the ones with no match in O(1));
+:func:`dispatch_words` converts every output to a ``(W,)`` uint64 word
+array at its own boundary.
 
 Compiled execution produces bit-identical output streams but does not
 *simulate* the schedule, so the metrics here are estimates: compute-side
@@ -38,8 +39,8 @@ from . import runtime
 from .compiled import ClassTable, CompiledProgram
 
 DispatchResult = Tuple[Dict[str, np.ndarray], runtime.KernelStats]
-#: one CTA's outputs as kernel ints, and its stats
-KernelResult = Tuple[Dict[str, int], runtime.KernelStats]
+#: one CTA's outputs as kernel markers, and its stats
+KernelResult = Tuple[Dict[str, runtime.Marker], runtime.KernelStats]
 
 
 def dispatch_words(compiled: Sequence[CompiledProgram], basis,
@@ -56,14 +57,18 @@ def dispatch_words(compiled: Sequence[CompiledProgram], basis,
     return results  # type: ignore[return-value]
 
 
-def iter_dispatch(compiled: Sequence[CompiledProgram], basis, length: int
+def iter_dispatch(compiled: Sequence[CompiledProgram], basis, length: int,
+                  data: Optional[bytes] = None
                   ) -> Iterator[Tuple[int, KernelResult]]:
     """:func:`dispatch_words` as it runs, without the word conversion:
-    ``(position in compiled, (output name → int, stats))`` per
-    program, a kernel batch at a time.  A caller that consumes each
-    result at once never holds every output stream beside the class
-    table."""
-    stream = runtime.KernelInput(basis, length)
+    ``(position in compiled, (output name → marker, stats))`` per
+    program, a kernel batch at a time; each output is an int or a
+    :class:`~repro.backend.runtime.Positions` list.  ``data`` is the
+    input the basis words hold, which list-form ops read; it is
+    derived from ``basis`` when a list first needs it and omitted.  A
+    caller that consumes each result at once never holds every output
+    stream beside the class table."""
+    stream = runtime.KernelInput(basis, length, data)
     buckets: Dict[str, List[int]] = {}
     #: table -> its entries over this input
     entries: Dict[ClassTable, Tuple[int, ...]] = {}

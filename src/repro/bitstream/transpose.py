@@ -65,6 +65,20 @@ def transpose_words(data: bytes, bits: Optional[int] = None) -> np.ndarray:
     return out.view("<u8")
 
 
+def inverse_transpose_words(basis, n: int) -> bytes:
+    """The ``n`` bytes whose :func:`transpose_words` is ``basis`` (an
+    ``(8, W)`` word array, or any sequence of 8 ``(W,)`` word rows)."""
+    if not n:
+        return b""
+    rows = np.stack([np.asarray(basis[k], dtype="<u8").view(np.uint8)
+                     for k in range(BASIS_COUNT)])
+    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :n]
+    out = np.zeros(n, dtype=np.uint8)
+    for k in range(BASIS_COUNT):        # b0 is the MSB
+        out |= bits[k] << np.uint8(BASIS_COUNT - 1 - k)
+    return out.tobytes()
+
+
 def transpose_reference(data: bytes) -> List[BitVector]:
     """Bit-at-a-time transposition; slow, used to validate :func:`transpose`."""
     n = len(data)

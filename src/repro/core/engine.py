@@ -369,13 +369,13 @@ class BitGenEngine(Engine):
 
         active, report = self.gate(data, config)
         result = self.match_words(basis_environment(data), len(data),
-                                  active=active)
+                                  active=active, data=data)
         result.prefilter = report
         return result
 
     def match_words(self, basis, input_bytes: int,
-                    active: Optional[Iterable[int]] = None
-                    ) -> BitGenResult:
+                    active: Optional[Iterable[int]] = None,
+                    data: Optional[bytes] = None) -> BitGenResult:
         """The one unit of execution: one input's ``(8, W)`` basis
         words (padded to ``input_bytes + 1`` bits) and the groups to
         run go in, per-group match ends and metrics come out.  Every
@@ -388,7 +388,9 @@ class BitGenEngine(Engine):
         prefilter-activated groups; skipped groups share one empty
         metrics slot and match nothing (their outputs are provably
         all-zero).  The work after dispatch is O(active groups +
-        matches): the result stores matched patterns only."""
+        matches): the result stores matched patterns only.  ``data``,
+        the input the basis holds, spares compiled kernels deriving it
+        from the basis when a marker goes sparse."""
         indices = range(len(self.groups)) if active is None \
             else sorted(active)
         with obs.span("exec", category="exec", backend=self.backend,
@@ -397,13 +399,13 @@ class BitGenEngine(Engine):
                                   input_bytes=input_bytes)
             result.cta_metrics = [KernelMetrics()] * len(self.groups)
             matches = self._run_groups(basis, input_bytes + 1, indices,
-                                       result)
+                                       result, data)
         _SCAN_BYTES.inc(input_bytes, backend=self.backend)
         _SCAN_MATCHES.inc(matches)
         return result
 
     def _run_groups(self, basis, length: int, indices: Sequence[int],
-                    result: BitGenResult) -> int:
+                    result: BitGenResult, data: Optional[bytes]) -> int:
         """Run each group in ``indices`` over one input's basis words,
         recording it in ``result`` as soon as it ran; returns the match
         count.  The one place the backend is decided: compiled groups
@@ -417,7 +419,7 @@ class BitGenEngine(Engine):
 
             programs = self._compiled_programs()
             for position, (outputs, stats) in iter_dispatch(
-                    [programs[i] for i in indices], basis, length):
+                    [programs[i] for i in indices], basis, length, data):
                 index = indices[position]
                 metrics = estimate_metrics(self.groups[index].program,
                                            self.geometry, length, stats)

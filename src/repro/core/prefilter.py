@@ -24,13 +24,14 @@ Two gate implementations, selected by ``ScanConfig.prefilter_impl``:
 * ``"screen"`` (default) — sorted-window prefix screen.  The index
   stores each literal's first ``min(len, 8)`` bytes as a big-endian
   ``uint64`` range ``[lo, hi]`` (prefix padded with 0x00 / 0xff).  A
-  scan sorts one big-endian 8-byte key per input offset (the tail
-  zero-padded) and one vectorised ``searchsorted`` tests every range.
-  Exact: an occurrence puts the literal's real prefix bytes into the
-  key at its offset, so no occurring literal is screened out; padding
-  and shared prefixes only add candidates, which exact substring
-  search (``lit in data``) confirms.  The transient is one ``uint64``
-  key per input byte, sorted in place.
+  scan keeps the input offsets whose byte starts some literal
+  (literals are never empty), sorts one big-endian 8-byte key per
+  kept offset (the tail zero-padded) and one vectorised
+  ``searchsorted`` tests every range.  Exact: an occurrence puts the
+  literal's real prefix bytes into the key at its offset, so no
+  occurring literal is screened out; padding and shared prefixes only
+  add candidates, which exact substring search (``lit in data``)
+  confirms.  The transient is one ``uint64`` key per kept offset.
 * ``"ac"`` — one pass of the shared Aho–Corasick automaton over the
   input (:mod:`repro.automata.aho_corasick`).  The reference
   implementation: linear in the input regardless of literal count,
@@ -106,16 +107,13 @@ def pattern_gate(node: ast.Regex) -> Optional[frozenset]:
     return factor_literals(simplify(prepared))
 
 
-def _window_keys(data: bytes) -> np.ndarray:
-    """One big-endian key per offset of ``data``: the ``WINDOW`` bytes
-    starting there, zero-padded past the end."""
-    body = max(len(data) - WINDOW + 1, 0)
-    keys = np.empty(len(data), dtype=np.uint64)
+def _window_keys(data: bytes, offsets: np.ndarray) -> np.ndarray:
+    """One big-endian key per offset in ``offsets``: the ``WINDOW``
+    bytes of ``data`` starting there, zero-padded past the end."""
     # overlapping unaligned big-endian windows straight off the buffer
-    keys[:body] = np.ndarray((body,), ">u8", data, strides=(1,))
-    tail = data[body:] + bytes(WINDOW - 1)
-    keys[body:] = np.ndarray((len(data) - body,), ">u8", tail, strides=(1,))
-    return keys
+    windows = np.ndarray((len(data),), ">u8", data + bytes(WINDOW - 1),
+                         strides=(1,))
+    return windows[offsets].astype(np.uint64)
 
 
 class PrefilterIndex:
@@ -135,6 +133,9 @@ class PrefilterIndex:
             [int.from_bytes(lit[:WINDOW].ljust(WINDOW, pad), "big")
              for lit in self.literals], dtype=np.uint64)
             for pad in (b"\0", b"\xff"))
+        #: byte -> whether some literal starts with it
+        self._starts = np.zeros(256, dtype=bool)
+        self._starts[[lit[0] for lit in self.literals]] = True
         slot = {lit: index for index, lit in enumerate(self.literals)}
         #: literal slot -> indices of the gated groups it activates
         self._opens: List[List[int]] = [[] for _ in self.literals]
@@ -182,7 +183,11 @@ class PrefilterIndex:
         if impl == "ac":
             hits, _stats = self.ac.scan(data)
             return {slot for slot, _end in hits}
-        keys = _window_keys(data)
+        offsets = np.flatnonzero(
+            self._starts[np.frombuffer(data, dtype=np.uint8)])
+        if not offsets.size:
+            return set()
+        keys = _window_keys(data, offsets)
         keys.sort()
         # the first key >= lo (clamped): a candidate iff within [lo, hi]
         found = keys[np.minimum(np.searchsorted(keys, self._lo),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.backend import (basis_environment, compile_group,
-                           compile_program, dispatch_words)
+                           compile_program, dispatch_words, iter_dispatch,
+                           runtime)
 from repro.core.engine import BitGenEngine
 from repro.core.schemes import SCHEME_LADDER, Scheme
 from repro.parallel.config import ScanConfig
@@ -53,6 +54,25 @@ def test_dispatch_programs_matches_interpreter():
     for program, (raw, _stats) in zip(programs, _dispatch(compiled, DATA)):
         expected = _expected(program, DATA)
         assert set(raw) == set(expected)
+        for name in expected:
+            assert _as_int(raw[name], length) == expected[name].bits
+
+
+def test_dispatch_words_derives_the_bytes_list_ops_read():
+    """``dispatch_words`` gets only the basis words: on a stream long
+    enough for position lists the kernels derive the input bytes from
+    them, and every output still equals the interpreter's."""
+    data = DATA[:40] + b"." * runtime.SPARSE_MIN_LENGTH + DATA[:40]
+    programs = _programs(["abc", "xyz"]) + \
+        [lower_group([parse(p)]) for p in ["a(b|c)*d", "cat|dog"]]
+    compiled = compile_group(programs)
+    length = len(data) + 1
+    markers = [value for _, (raw, _stats) in
+               iter_dispatch(compiled, basis_environment(data), length)
+               for value in raw.values()]
+    assert any(isinstance(value, runtime.Positions) for value in markers)
+    for program, (raw, _stats) in zip(programs, _dispatch(compiled, data)):
+        expected = _expected(program, data)
         for name in expected:
             assert _as_int(raw[name], length) == expected[name].bits
 

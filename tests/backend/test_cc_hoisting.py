@@ -95,15 +95,17 @@ def test_codegen_version_bumped_for_hoisting():
 def test_dead_streams_are_deleted_after_their_last_read():
     """A kernel frees each stream after its last read (outside loops)
     or after the loop that last reads it; outputs and class-table
-    slots are never freed."""
+    slots are never freed, and a run of single-byte steps frees what
+    its steps read last once the run's call returns."""
     program = Program("d", [
-        Instr("s", Op.SHIFT, ("b0",), shift=1),
-        Instr("x", Op.AND, ("s", "b1")),
+        Instr("s", Op.SHIFT, ("b0",), shift=2),
+        Instr("u", Op.SHIFT, ("s",), shift=1),
+        Instr("x", Op.AND, ("u", "b1")),        # one step: a _steps call
         Instr("y", Op.OR, ("x", "b2")),
         Instr("c", Op.COPY, ("y",)),
         WhileLoop("c", [
             Instr("t", Op.SHIFT, ("c",), shift=1),
-            Instr("c", Op.AND, ("t", "x")),
+            Instr("c", Op.AND, ("t", "x")),     # x is no class: inline
         ]),
         Instr("r", Op.OR, ("y", "b3")),
     ], {"R": "r"})
@@ -111,15 +113,16 @@ def test_dead_streams_are_deleted_after_their_last_read():
     canonical = canonicalize(program)
     lines = [line.strip()
              for line in generate_source(canonical).splitlines()]
-    s, x, y, c, t, r, b1, b3 = (canonical.var_map[name] for name in
-                                ("s", "x", "y", "c", "t", "r", "b1", "b3"))
+    s, u, x, y, c, t, r, b1, b3 = (
+        canonical.var_map[name] for name in
+        ("s", "u", "x", "y", "c", "t", "r", "b1", "b3"))
 
     def freed_after(line: str) -> set:
         following = lines[lines.index(line) + 1]
         assert following.startswith("del ")
         return set(following[len("del "):].split(", "))
 
-    assert freed_after(f"{x} = {s} & {b1}") == {s}
+    assert freed_after(f"{x} = _steps({s}, S, ({b1},))") == {s}
     # x, c and t are read inside the loop: they live until it ends.
     assert freed_after("_stats.loop_log.append((0, _n0))") == {x, c, t}
     assert freed_after(f"{r} = {y} | {b3}") == {y}
@@ -127,6 +130,9 @@ def test_dead_streams_are_deleted_after_their_last_read():
              for name in line[4:].split(", ")}
     assert r not in freed
     assert not freed & set(canonical.var_map[f"b{k}"] for k in range(4))
+    # The step's intermediate is never assigned, so never freed.
+    assert u not in freed
+    assert not any(line.startswith(f"{u} =") for line in lines)
     data = b"abcxyz" * 20
     assert kernel_outputs(program, data)[0] == \
         Interpreter().run(program, data)

@@ -1,11 +1,11 @@
-"""Compiled outputs are read as kernel ints.
+"""Compiled outputs are read in the kernel's form.
 
 A compiled engine never converts an output to words: it reads match
 ends straight from the int (:func:`repro.backend.runtime.output_ends`),
-skipping an output with no bit past the cursor slot in O(1).  Those
-ends must equal the word-array reader's, and both go through one
-set-bit helper; the big-int ``BitVector`` reader is the independent
-reference.
+skipping an output with no bit past the cursor slot in O(1), or from a
+position list directly.  Those ends must equal the word-array reader's,
+and both int readers go through one set-bit helper; the big-int
+``BitVector`` reader is the independent reference.
 """
 
 import pytest
@@ -75,3 +75,23 @@ def test_compiled_scan_converts_no_output_to_words(monkeypatch):
     monkeypatch.setattr(runtime, "to_words", refuse)
     assert repro.compile(patterns, backend="compiled").scan(data) \
         == expected
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_list_outputs_equal_their_ints(length):
+    """A list-form output gives its ends directly and converts to the
+    same words: the empty list, position 0 (the empty-match cursor, no
+    end) and position ``L - 1`` (the cursor slot)."""
+    stream = runtime.KernelInput.of(bytes(length - 1))
+    top = 1 << (length - 1)
+    for value in (0, 1, top, top | 1):
+        marker = runtime.sparse(value, stream)
+        assert isinstance(marker, runtime.Positions)
+        assert output_ends(marker) == output_ends(value) \
+            == word_ends(value, length)
+        assert to_words(marker, length).tobytes() == \
+            to_words(value, length).tobytes()
+    assert output_ends(runtime.Positions()) == []
+    assert output_ends(runtime.sparse(1, stream)) == []
+    if length > 1:
+        assert output_ends(runtime.sparse(top, stream)) == [length - 2]

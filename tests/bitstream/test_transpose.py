@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bitstream.transpose import (BASIS_COUNT, inverse_transpose,
-                                       transpose, transpose_reference,
-                                       transpose_words)
+                                       inverse_transpose_words, transpose,
+                                       transpose_reference, transpose_words)
 
 
 def test_empty_input():
@@ -86,6 +86,13 @@ def test_words_padding_is_zero(data, extra):
     assert words.shape == (BASIS_COUNT, expected_words)
     for plane, vector in zip(words, transpose_reference(data)):
         assert int.from_bytes(plane.tobytes(), "little") == vector.bits
+
+
+@given(st.binary(max_size=200), st.integers(min_value=0, max_value=70))
+def test_words_roundtrip(data, extra):
+    words = transpose_words(data, bits=len(data) + extra)
+    assert inverse_transpose_words(words, len(data)) == data
+    assert inverse_transpose_words(list(words), len(data)) == data
 
 
 def test_character_class_match_via_planes():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.backend import runtime
 from repro.backend.codegen import CODEGEN_VERSION
 from repro.backend.compiled import KernelCache
 from repro.backend.fingerprint import cache_key, canonicalize
@@ -139,6 +140,9 @@ def test_fresh_cache_loads_from_warm_disk(tmp_path):
     assert cold.stats.lookups == cold.stats.hits + cold.stats.misses
     assert loaded.source == built.source
     assert loaded.fingerprint == built.fingerprint
+    # A loaded kernel calls its runtime helpers by global name too.
+    assert "_steps(" in loaded.source
+    assert loaded.func.__globals__["_steps"] is runtime.steps
 
 
 def test_class_table_kernel_loads_from_warm_disk(tmp_path):
